@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import gridio
 from .audio_io import ManifestError, read_wav, parse_segments
-from .dsp import StftConfig, magnitude, stft
+from .dsp import WINDOW_KINDS, StftConfig, magnitude, stft
 from .level_align import MflfConfig
 from .losses import iam_target, mca_loss
 from .pipeline import PipelineConfig, default_worker_count, run_tls, write_results
@@ -25,20 +25,35 @@ from .snr_filter import estimate_snr
 from .synth import simulate_corpus
 from .time_align import gcc_phat
 
-_CONFIG_TYPES = {
-    "manifest": str,
-    "out": str,
-    "workers": int,
-    "sample_rate": int,
-    "n_fft": int,
-    "hop": int,
-    "window": str,
-    "taps": int,
-    "xi": float,
-    "diag_load": float,
-    "max_lag_s": float,
-    "snr_threshold_db": float,
+# Public ``run`` key -> the config field it sets. The dataclasses own every
+# type and default; the config-file types and the flags are derived here.
+_RUN_KEYS = {
+    "out": (PipelineConfig, "output_dir"),
+    "workers": (PipelineConfig, "worker_count"),
+    "sample_rate": (StftConfig, "sample_rate"),
+    "n_fft": (StftConfig, "n_fft"),
+    "hop": (StftConfig, "hop"),
+    "window": (StftConfig, "window_kind"),
+    "taps": (MflfConfig, "L"),
+    "xi": (MflfConfig, "xi"),
+    "diag_load": (MflfConfig, "diag_load"),
+    "max_lag_s": (PipelineConfig, "max_lag_s"),
+    "snr_threshold_db": (PipelineConfig, "snr_threshold_db"),
 }
+_RUN_HELP = {
+    "out": "output directory (results.jsonl + kept WAVs)",
+    "workers": "parallel worker processes",
+    "taps": "filter taps per frequency bin",
+    "xi": "weight floor coefficient",
+}
+
+
+def _field_default(key: str):
+    cls, name = _RUN_KEYS[key]
+    return getattr(cls, name)
+
+
+_CONFIG_TYPES = {"manifest": str} | {key: type(_field_default(key)) for key in _RUN_KEYS}
 
 
 class ConfigError(ValueError):
@@ -64,6 +79,12 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _add_field_flag(parser, key: str, **kwargs) -> None:
+    """Add ``--key`` typed like the default of the config field it sets."""
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key],
+                        choices=WINDOW_KINDS if key == "window" else None, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudolabel",
@@ -74,18 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="process a segment manifest end to end")
     run.add_argument("--manifest", help="input JSONL segment manifest")
-    run.add_argument("--out", help="output directory (results.jsonl + kept WAVs)")
     run.add_argument("--config", help="key=value config file; flags override it")
-    run.add_argument("--workers", type=int, help="parallel worker processes")
-    run.add_argument("--sample-rate", type=int, dest="sample_rate")
-    run.add_argument("--n-fft", type=int, dest="n_fft")
-    run.add_argument("--hop", type=int)
-    run.add_argument("--window", choices=("hann", "sqrt_hann"))
-    run.add_argument("--taps", type=int, help="filter taps per frequency bin")
-    run.add_argument("--xi", type=float, help="weight floor coefficient")
-    run.add_argument("--diag-load", type=float, dest="diag_load")
-    run.add_argument("--max-lag-s", type=float, dest="max_lag_s")
-    run.add_argument("--snr-threshold-db", type=float, dest="snr_threshold_db")
+    for key in _RUN_KEYS:
+        _add_field_flag(run, key, help=_RUN_HELP.get(key))
 
     sim = sub.add_parser("simulate", help="write a synthetic corpus with ground truth")
     sim.add_argument("--out", required=True)
@@ -106,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     align = sub.add_parser("align", help="time-offset diagnostics for two WAVs")
     align.add_argument("close")
     align.add_argument("reference")
-    align.add_argument("--max-lag-s", type=float, default=0.5, dest="max_lag_s")
+    _add_field_flag(align, "max_lag_s", default=_field_default("max_lag_s"))
 
     mca = sub.add_parser("mca", help="loss report for two magnitude grid dumps")
     mca.add_argument("target")
@@ -118,48 +130,30 @@ def build_parser() -> argparse.ArgumentParser:
     iam.add_argument("mixture")
     iam.add_argument("-o", "--out", required=True, help="output grid file")
     iam.add_argument("--clip-max", type=float, default=2.0, dest="clip_max")
-    iam.add_argument("--n-fft", type=int, default=512, dest="n_fft")
-    iam.add_argument("--hop", type=int, default=256)
-    iam.add_argument("--window", choices=("hann", "sqrt_hann"), default="sqrt_hann")
+    for key in ("n_fft", "hop", "window"):
+        _add_field_flag(iam, key, default=_field_default(key))
 
     return parser
 
 
-def _merged(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
 def _cmd_run(args) -> int:
-    config_values = parse_config_file(args.config) if args.config else {}
-    manifest_path = _merged(args, config_values, "manifest", None)
-    out_dir = _merged(args, config_values, "out", None)
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _CONFIG_TYPES
+                  if getattr(args, key) is not None)
+    manifest_path, out_dir = values.get("manifest"), values.get("out")
     if not manifest_path or not out_dir:
         print("run: --manifest and --out are required (flag or config file)", file=sys.stderr)
         return 2
-    stft_cfg = StftConfig(
-        n_fft=_merged(args, config_values, "n_fft", 512),
-        hop=_merged(args, config_values, "hop", 256),
-        window_kind=_merged(args, config_values, "window", "sqrt_hann"),
-        sample_rate=_merged(args, config_values, "sample_rate", 16000),
-    )
-    mflf_cfg = MflfConfig(
-        L=_merged(args, config_values, "taps", MflfConfig.L),
-        xi=_merged(args, config_values, "xi", MflfConfig.xi),
-        diag_load=_merged(args, config_values, "diag_load", MflfConfig.diag_load),
-    )
-    pipe_cfg = PipelineConfig(
-        stft=stft_cfg,
-        mflf=mflf_cfg,
-        max_lag_s=_merged(args, config_values, "max_lag_s", 0.5),
-        snr_threshold_db=_merged(args, config_values, "snr_threshold_db", -10.0),
-        worker_count=_merged(args, config_values, "workers", default_worker_count()),
-        output_dir=str(out_dir),
-    )
+    if "workers" not in values:
+        values["workers"] = default_worker_count()
+    # Only the keys set above reach the constructors; the dataclasses supply
+    # every other default.
+    fields = {StftConfig: {}, MflfConfig: {}, PipelineConfig: {}}
+    for key, (cls, name) in _RUN_KEYS.items():
+        if key in values:
+            fields[cls][name] = values[key]
+    pipe_cfg = PipelineConfig(stft=StftConfig(**fields[StftConfig]),
+                              mflf=MflfConfig(**fields[MflfConfig]), **fields[PipelineConfig])
     try:
         manifest = parse_segments(manifest_path)
     except ManifestError as exc:

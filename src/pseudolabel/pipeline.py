@@ -20,7 +20,7 @@ from pathlib import Path
 from .audio_io import AudioClip, SegmentClampWarning, SegmentRecord, cut_segment, read_wav, write_wav
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
-from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, PseudoLabelRecord, estimate_snr
+from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, PseudoLabelRecord, estimate_snr, filter_pairs
 from .time_align import apply_shift, gcc_phat
 
 WORKERS_ENV = "PSEUDOLABEL_WORKERS"
@@ -62,6 +62,10 @@ def _output_name(seg: SegmentRecord) -> str:
 def _process_segment(seg: SegmentRecord, config: PipelineConfig) -> PseudoLabelRecord:
     rec = PseudoLabelRecord(segment=seg)
     try:
+        # Both ids become part of the output file name.
+        for name in ("session_id", "speaker_id"):
+            if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
+                raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
         with warnings.catch_warnings():
             # Diarization routinely overshoots media bounds; clamping is normal here.
             warnings.simplefilter("ignore", SegmentClampWarning)
@@ -79,10 +83,9 @@ def _process_segment(seg: SegmentRecord, config: PipelineConfig) -> PseudoLabelR
         align = gcc_phat(s1, y, max_lag=max_lag)
         shifted = apply_shift(s1, align.offset_samples, y.size)
         pseudo = level_align(shifted, y, config.stft, config.mflf)
-        snr_db = estimate_snr(pseudo, y)
         rec.offset_samples = align.offset_samples
-        rec.snr_db = snr_db
-        rec.kept = snr_db >= config.snr_threshold_db
+        rec.snr_db = estimate_snr(pseudo, y)
+        filter_pairs([rec], config.snr_threshold_db)
         if rec.kept:
             out_path = Path(config.output_dir) / _output_name(seg)
             write_wav(out_path, AudioClip(pseudo, rate), "float32")

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from pseudolabel import PipelineConfig
 from pseudolabel.audio_io import AudioClip, write_wav
 from pseudolabel.cli import main, parse_config_file
+from pseudolabel.pipeline import WORKERS_ENV
 from pseudolabel.gridio import load_grid, save_grid
 from pseudolabel.synth import SynthScenario, speech_like, synth_pair
 
@@ -166,3 +169,76 @@ class TestConfigFile:
         cfg = tmp_path / "p.cfg"
         cfg.write_text("not a key value line\n")
         assert main(["run", "--config", str(cfg), "--manifest", "m", "--out", "o"]) == 2
+
+
+@pytest.fixture
+def run_configs(tmp_path, monkeypatch):
+    """Stub out the batch; each ``run`` appends the config it built.
+
+    Runs in ``tmp_path`` with an empty manifest ``m.jsonl``.
+    """
+    configs = []
+
+    def fake_run_tls(manifest, config):
+        configs.append(config)
+        return []
+
+    monkeypatch.setattr("pseudolabel.cli.run_tls", fake_run_tls)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.jsonl").write_text("")
+    return configs
+
+
+# One non-default value per public ``run`` key.
+_NON_DEFAULTS = {
+    "out": "elsewhere", "workers": "2", "sample_rate": "8000", "n_fft": "1024", "hop": "128",
+    "window": "hann", "taps": "3", "xi": "0.02", "diag_load": "1e-05", "max_lag_s": "0.25",
+    "snr_threshold_db": "-5.0",
+}
+
+
+def _field_values(config):
+    values = {}
+    for obj in (config, config.stft, config.mflf):
+        for f in dataclasses.fields(obj):
+            if f.name not in ("stft", "mflf"):
+                values[(type(obj).__name__, f.name)] = getattr(obj, f.name)
+    return values
+
+
+class TestRunConfig:
+    def test_dataclasses_supply_every_default(self, run_configs):
+        assert main(["run", "--manifest", "m.jsonl", "--out", "o", "--workers", "1"]) == 0
+        assert run_configs == [PipelineConfig(output_dir="o", worker_count=1)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_each_field_set_by_exactly_one_key(self, tmp_path, run_configs, source):
+        base = ["run", "--manifest", "m.jsonl", "--out", "o"]
+        assert main(base) == 0
+        baseline = _field_values(run_configs.pop())
+        setters = {}
+        for key, value in _NON_DEFAULTS.items():
+            if source == "flag":
+                argv = base + ["--" + key.replace("_", "-"), value]
+            else:
+                cfg = tmp_path / f"{key}.cfg"
+                cfg.write_text(f"manifest = m.jsonl\nout = o\n{key} = {value}\n")
+                argv = ["run", "--config", str(cfg)]
+            assert main(argv) == 0
+            changed = [field for field, v in _field_values(run_configs.pop()).items()
+                       if v != baseline[field]]
+            assert len(changed) == 1, (key, changed)
+            setters.setdefault(changed[0], []).append(key)
+        assert sorted(setters) == sorted(baseline)
+        assert all(len(keys) == 1 for keys in setters.values()), setters
+
+    def test_explicit_workers_ignore_invalid_env(self, tmp_path, run_configs, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "many")
+        base = ["run", "--manifest", "m.jsonl", "--out", "o"]
+        assert main(base + ["--workers", "1"]) == 0
+        (tmp_path / "p.cfg").write_text("workers = 2\n")
+        assert main(base + ["--config", "p.cfg"]) == 0
+        assert [c.worker_count for c in run_configs] == [1, 2]
+        # with workers unset the environment is read, and rejected
+        assert main(base) == 2

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,40 @@ class TestRunTls:
         assert records[0].status == "ok"
         assert records[0].offset_samples == -120
         assert records[0].snr_db == pytest.approx(gt_snr, abs=1.0)
+
+    def test_path_separator_in_id_fails_that_row(self, tmp_path):
+        good, _ = write_scenario(tmp_path, "g", seed=50)
+        escaping = dataclasses.replace(good, session_id="../x")
+        nested = dataclasses.replace(good, speaker_id="a/b")
+        out_dir = tmp_path / "deep" / "out"
+        records = run_tls([escaping, good, nested], PipelineConfig(output_dir=str(out_dir)))
+        assert records[1].status == "ok" and records[1].kept
+        assert "session_id" in records[0].status and "speaker_id" in records[2].status
+        for rec in (records[0], records[2]):
+            assert rec.status.startswith("error:")
+            assert not rec.kept and rec.output_path is None
+        written = {p for p in (tmp_path / "deep").rglob("*") if p.is_file()}
+        assert written == {Path(records[1].output_path)}
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("which", ["close_talk_path", "farfield_path"])
+    def test_nan_sample_fails_that_row(self, tmp_path, which):
+        segs = [write_scenario(tmp_path, f"n{i}", seed=60 + i)[0] for i in range(3)]
+        path = getattr(segs[1], which)
+        clip = read_wav(path)
+        samples = clip.channels[0].copy()
+        samples[samples.size // 2] = np.nan
+        write_wav(path, AudioClip(samples, 16000), "float32")
+        out_dir = tmp_path / "out"
+        records = run_tls(segs, PipelineConfig(output_dir=str(out_dir)))
+        assert records[1].status.startswith("error:")
+        assert not records[1].kept and records[1].output_path is None
+        clean = run_tls([segs[0], segs[2]], PipelineConfig(output_dir=str(tmp_path / "ref")))
+        for rec, ref in zip((records[0], records[2]), clean):
+            assert rec.status == "ok" and rec.kept
+            assert rec.snr_db == ref.snr_db and rec.offset_samples == ref.offset_samples
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+               sorted(Path(r.output_path).name for r in clean)
 
     def test_idempotent_rerun(self, tmp_path):
         seg, _ = write_scenario(tmp_path, "f", seed=30)
