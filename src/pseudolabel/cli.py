@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 batch-level failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -102,14 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="write a synthetic corpus with ground truth")
     sim.add_argument("--out", required=True)
     sim.add_argument("--count", type=int, default=50)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--sample-rate", type=int, default=16000, dest="sample_rate")
-    sim.add_argument("--min-duration-s", type=float, default=4.0, dest="min_duration_s")
-    sim.add_argument("--max-duration-s", type=float, default=8.0, dest="max_duration_s")
-    sim.add_argument("--snr-min-db", type=float, default=0.0, dest="snr_min_db")
-    sim.add_argument("--snr-max-db", type=float, default=20.0, dest="snr_max_db")
-    sim.add_argument("--max-delay", type=int, default=4000, dest="max_delay")
-    sim.add_argument("--max-decay-ms", type=float, default=50.0, dest="max_decay_ms")
+    # Every other default is simulate_corpus's own; a range gives a low and a high flag.
+    d = {name: p.default for name, p in inspect.signature(simulate_corpus).parameters.items()}
+    sim_defaults = {
+        "seed": d["seed"], "sample_rate": d["sample_rate"],
+        "min_duration_s": d["duration_range"][0], "max_duration_s": d["duration_range"][1],
+        "snr_min_db": d["snr_range_db"][0], "snr_max_db": d["snr_range_db"][1],
+        "max_delay": d["delay_range"][1], "max_decay_ms": d["max_decay_ms"],
+    }
+    for key, default in sim_defaults.items():
+        sim.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                         default=default)
 
     snr = sub.add_parser("snr", help="estimated SNR of an estimate against a reference WAV")
     snr.add_argument("estimate")

@@ -15,6 +15,7 @@ inheriting the reference's noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ class MflfConfig:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.xi <= 0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.diag_load < 0:
-            raise ValueError(f"diag_load must be >= 0, got {self.diag_load}")
+        if not 0 < self.xi < math.inf:
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
+        if not 0 <= self.diag_load < math.inf:
+            raise ValueError(f"diag_load must be >= 0 and finite, got {self.diag_load}")
 
 
 @dataclass

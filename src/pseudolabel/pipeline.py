@@ -13,14 +13,16 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .audio_io import AudioClip, SegmentClampWarning, SegmentRecord, cut_segment, read_wav, write_wav
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
-from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, PseudoLabelRecord, estimate_snr, filter_pairs
+from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, estimate_snr, filter_pairs
 from .time_align import apply_shift, gcc_phat
 
 WORKERS_ENV = "PSEUDOLABEL_WORKERS"
@@ -49,23 +51,51 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.max_lag_s <= 0:
-            raise ValueError(f"max_lag_s must be positive, got {self.max_lag_s}")
+        if not 0 < self.max_lag_s < math.inf:
+            raise ValueError(f"max_lag_s must be positive and finite, got {self.max_lag_s}")
+        if math.isnan(self.snr_threshold_db):
+            raise ValueError("snr_threshold_db must not be NaN")
         if self.worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
+
+
+@dataclass
+class PseudoLabelRecord:
+    """Outcome of processing one segment: offset, SNR, keep decision.
+
+    A result row holds the segment's fields followed by the other fields
+    here, in declaration order; a key absent from a row reads back as the
+    field's default.
+    """
+
+    segment: SegmentRecord
+    offset_samples: int | None = None
+    snr_db: float | None = None
+    kept: bool = False
+    status: str = "ok"
+    output_path: str | None = None
+    processed_at: str = ""
+
+
+_ROW_FIELDS = [f.name for f in fields(PseudoLabelRecord) if f.name != "segment"]
 
 
 def _output_name(seg: SegmentRecord) -> str:
     return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{seg.end_s:.3f}.wav"
 
 
-def _process_segment(seg: SegmentRecord, config: PipelineConfig) -> PseudoLabelRecord:
+def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConfig,
+                     ) -> PseudoLabelRecord:
+    """One segment's row; ``clash`` is the index of an earlier row with the
+    same output name, if any."""
     rec = PseudoLabelRecord(segment=seg)
     try:
         # Both ids become part of the output file name.
         for name in ("session_id", "speaker_id"):
             if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
                 raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
+        if clash is not None:
+            raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
         with warnings.catch_warnings():
             # Diarization routinely overshoots media bounds; clamping is normal here.
             warnings.simplefilter("ignore", SegmentClampWarning)
@@ -79,6 +109,9 @@ def _process_segment(seg: SegmentRecord, config: PipelineConfig) -> PseudoLabelR
                 )
             s1 = cut_segment(close, seg.start_s, seg.end_s).channels[0]
             y = cut_segment(far, seg.start_s, seg.end_s).channels[0]
+        for path, x in ((seg.close_talk_path, s1), (seg.farfield_path, y)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"non-finite sample in {path}")
         max_lag = int(round(config.max_lag_s * rate))
         align = gcc_phat(s1, y, max_lag=max_lag)
         shifted = apply_shift(s1, align.offset_samples, y.size)
@@ -101,62 +134,38 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
 
     Kept segments get their pseudo label written under
     ``config.output_dir``. Failed segments yield a row with an error
-    status rather than aborting the batch.
+    status rather than aborting the batch; so does every row whose output
+    file name an earlier row already has.
     """
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    first_row: dict[str, int] = {}
+    firsts = [first_row.setdefault(_output_name(seg), i) for i, seg in enumerate(manifest)]
+    clashes = [None if first == i else first for i, first in enumerate(firsts)]
     worker = partial(_process_segment, config=config)
     if config.worker_count == 1 or len(manifest) <= 1:
-        records = [worker(seg) for seg in manifest]
+        records = list(map(worker, manifest, clashes))
     else:
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            records = list(pool.map(worker, manifest))
+            records = list(pool.map(worker, manifest, clashes))
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     for rec in records:
         rec.processed_at = stamp
     return records
 
 
-def _snr_to_json(value: float | None):
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def _snr_from_json(value):
-    if value is None:
-        return None
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return float(value)
-
-
 def record_to_dict(rec: PseudoLabelRecord) -> dict:
-    out = rec.segment.to_dict()
-    out.update({
-        "offset_samples": rec.offset_samples,
-        "snr_db": _snr_to_json(rec.snr_db),
-        "kept": rec.kept,
-        "status": rec.status,
-        "output_path": rec.output_path,
-        "processed_at": rec.processed_at,
-    })
+    out = rec.segment.to_dict() | {name: getattr(rec, name) for name in _ROW_FIELDS}
+    if rec.snr_db is not None and math.isinf(rec.snr_db):
+        out["snr_db"] = str(rec.snr_db)  # "inf"/"-inf": strict JSON has no infinity
     return out
 
 
 def record_from_dict(obj: dict) -> PseudoLabelRecord:
-    return PseudoLabelRecord(
-        segment=SegmentRecord.from_dict(obj),
-        offset_samples=obj.get("offset_samples"),
-        snr_db=_snr_from_json(obj.get("snr_db")),
-        kept=bool(obj.get("kept", False)),
-        status=obj.get("status", "ok"),
-        output_path=obj.get("output_path"),
-        processed_at=obj.get("processed_at", ""),
-    )
+    rec = PseudoLabelRecord(SegmentRecord.from_dict(obj),
+                            **{name: obj[name] for name in _ROW_FIELDS if name in obj})
+    if rec.snr_db is not None:
+        rec.snr_db = float(rec.snr_db)  # also parses the "inf"/"-inf" sentinels
+    return rec
 
 
 def write_results(records: list[PseudoLabelRecord], path) -> None:

@@ -3,26 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audio_io import SegmentRecord
+if TYPE_CHECKING:
+    from .pipeline import PseudoLabelRecord
 
 DEFAULT_SNR_THRESHOLD_DB = -10.0
-
-
-@dataclass
-class PseudoLabelRecord:
-    """Outcome of processing one segment: offset, SNR, keep decision."""
-
-    segment: SegmentRecord
-    offset_samples: int | None = None
-    snr_db: float | None = None
-    kept: bool = False
-    status: str = "ok"
-    output_path: str | None = None
-    processed_at: str = ""
 
 
 def estimate_snr(s3, y) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, write_wav
+from .audio_io import AudioClip, SegmentRecord, write_wav
 
 NOISE_KINDS = ("white", "pink")
 
@@ -194,14 +194,9 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
             gt_snr_db = 10.0 * math.log10(
                 float(np.sum(direct * direct)) / float(np.sum(residual * residual))
             )
-            mf.write(json.dumps({
-                "session_id": sid,
-                "speaker_id": "spk0",
-                "start_s": 0.0,
-                "end_s": far.size / sample_rate,
-                "close_talk_path": str(close_path),
-                "farfield_path": str(far_path),
-            }) + "\n")
+            seg = SegmentRecord(sid, "spk0", 0.0, far.size / sample_rate,
+                                str(close_path), str(far_path))
+            mf.write(json.dumps(seg.to_dict()) + "\n")
             tf.write(json.dumps({
                 "session_id": sid,
                 "delay": delay,

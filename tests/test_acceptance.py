@@ -35,7 +35,7 @@ from pseudolabel import (
 )
 from pseudolabel.dsp import Spectrogram
 from pseudolabel.level_align import apply_mflf, fcp_weights, solve_mflf, stack_frames
-from pseudolabel.snr_filter import PseudoLabelRecord
+from pseudolabel import PseudoLabelRecord
 from pseudolabel.pipeline import record_to_dict
 
 

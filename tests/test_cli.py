@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import inspect
 import json
 import math
 
@@ -10,7 +12,7 @@ from pseudolabel.audio_io import AudioClip, write_wav
 from pseudolabel.cli import main, parse_config_file
 from pseudolabel.pipeline import WORKERS_ENV
 from pseudolabel.gridio import load_grid, save_grid
-from pseudolabel.synth import SynthScenario, speech_like, synth_pair
+from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
 
 
 def wav_of(tmp_path, name, samples, rate=16000):
@@ -122,6 +124,30 @@ class TestSimulateAndRun:
 
     def test_missing_required_flags(self, tmp_path):
         assert main(["run"]) == 2
+
+    def test_nan_threshold_is_usage_error(self, tmp_path):
+        (tmp_path / "m.jsonl").write_text("")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--manifest", str(tmp_path / "m.jsonl"), "--out", str(out_dir),
+                     "--snr-threshold-db", "nan"]) == 2
+        assert not out_dir.exists()
+
+    def test_simulate_defaults_are_the_signature_defaults(self, monkeypatch):
+        calls = []
+
+        @functools.wraps(simulate_corpus)  # keeps the signature the flags are built from
+        def fake(out_dir, **kwargs):
+            calls.append((out_dir, kwargs))
+            return "m", "t"
+
+        monkeypatch.setattr("pseudolabel.cli.simulate_corpus", fake)
+        assert main(["simulate", "--out", "X"]) == 0
+        params = inspect.signature(simulate_corpus).parameters
+        (out_dir, kwargs), = calls
+        assert out_dir == "X" and kwargs.pop("count") == 50
+        assert sorted(kwargs) == ["delay_range", "duration_range", "max_decay_ms",
+                                  "sample_rate", "seed", "snr_range_db"]
+        assert kwargs == {name: params[name].default for name in kwargs}
 
 
 class TestConfigFile:

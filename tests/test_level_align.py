@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -285,7 +287,9 @@ class TestMflfConfig:
         assert cfg.L == 2
         assert cfg.diag_load == 1e-6
 
-    @pytest.mark.parametrize("kwargs", [{"L": 0}, {"xi": 0.0}, {"diag_load": -1.0}])
+    @pytest.mark.parametrize("kwargs", [{"L": 0}, {"xi": 0.0}, {"diag_load": -1.0},
+                                        {"xi": math.inf}, {"xi": math.nan},
+                                        {"diag_load": math.inf}, {"diag_load": math.nan}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             MflfConfig(**kwargs)

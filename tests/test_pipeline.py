@@ -17,7 +17,7 @@ from pseudolabel.pipeline import (
     run_tls,
     write_results,
 )
-from pseudolabel.snr_filter import PseudoLabelRecord
+from pseudolabel import PseudoLabelRecord
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
 from pseudolabel import parse_segments
 
@@ -134,7 +134,6 @@ class TestRunTls:
         written = {p for p in (tmp_path / "deep").rglob("*") if p.is_file()}
         assert written == {Path(records[1].output_path)}
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("which", ["close_talk_path", "farfield_path"])
     def test_nan_sample_fails_that_row(self, tmp_path, which):
         segs = [write_scenario(tmp_path, f"n{i}", seed=60 + i)[0] for i in range(3)]
@@ -145,7 +144,7 @@ class TestRunTls:
         write_wav(path, AudioClip(samples, 16000), "float32")
         out_dir = tmp_path / "out"
         records = run_tls(segs, PipelineConfig(output_dir=str(out_dir)))
-        assert records[1].status.startswith("error:")
+        assert records[1].status == f"error: non-finite sample in {path}"
         assert not records[1].kept and records[1].output_path is None
         clean = run_tls([segs[0], segs[2]], PipelineConfig(output_dir=str(tmp_path / "ref")))
         for rec, ref in zip((records[0], records[2]), clean):
@@ -153,6 +152,24 @@ class TestRunTls:
             assert rec.snr_db == ref.snr_db and rec.offset_samples == ref.offset_samples
         assert sorted(p.name for p in out_dir.iterdir()) == \
                sorted(Path(r.output_path).name for r in clean)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_colliding_output_names_fail_later_rows(self, tmp_path, workers):
+        a, _ = write_scenario(tmp_path, "a", seed=70)
+        b, _ = write_scenario(tmp_path, "b", seed=71)
+        near = dataclasses.replace(a, start_s=a.start_s + 0.0002)
+        out_dir = tmp_path / "out"
+        records = run_tls([a, b, a, near],
+                          PipelineConfig(worker_count=workers, output_dir=str(out_dir)))
+        name = Path(records[0].output_path).name
+        for rec in records[2:]:
+            assert rec.status == f"error: output name {name} collides with row 0"
+            assert not rec.kept and rec.output_path is None
+        assert sorted(out_dir.iterdir()) == sorted(Path(r.output_path) for r in records[:2])
+        # same directory, so output_path compares equal too
+        ref = run_tls([a, b], PipelineConfig(output_dir=str(out_dir)))
+        strip = lambda rec: record_to_dict(rec) | {"processed_at": ""}
+        assert [strip(r) for r in records[:2]] == [strip(r) for r in ref]
 
     def test_idempotent_rerun(self, tmp_path):
         seg, _ = write_scenario(tmp_path, "f", seed=30)
@@ -194,6 +211,19 @@ class TestResultsIO:
                                 output_path="p.wav", processed_at="now")
         assert record_from_dict(record_to_dict(rec)) == rec
 
+    def test_row_schema_is_the_dataclass_fields(self):
+        seg = SegmentRecord("s", "a", 0.5, 2.0, "c.wav", "f.wav")
+        rec = PseudoLabelRecord(seg, offset_samples=-42, snr_db=7.5, kept=True,
+                                status="error: x", output_path="p.wav", processed_at="now")
+        row_fields = [f for f in dataclasses.fields(rec) if f.name != "segment"]
+        assert list(record_to_dict(rec)) == \
+               [f.name for f in dataclasses.fields(seg)] + [f.name for f in row_fields]
+        # every field non-default, so the round trip exercises each one
+        assert all(getattr(rec, f.name) != f.default for f in row_fields)
+        assert record_from_dict(json.loads(json.dumps(record_to_dict(rec)))) == rec
+        # a manifest-only row reads back with the dataclass defaults
+        assert record_from_dict(seg.to_dict()) == PseudoLabelRecord(seg)
+
 
 class TestWorkerEnv:
     def test_default_without_env(self, monkeypatch):
@@ -224,3 +254,10 @@ class TestPipelineConfig:
             PipelineConfig(worker_count=0)
         with pytest.raises(ValueError):
             PipelineConfig(max_lag_s=0.0)
+        for bad in ({"max_lag_s": math.nan}, {"max_lag_s": math.inf},
+                    {"snr_threshold_db": math.nan}):
+            with pytest.raises(ValueError):
+                PipelineConfig(**bad)
+        # an infinite threshold keeps its meaning: keep nothing, or everything
+        PipelineConfig(snr_threshold_db=math.inf)
+        PipelineConfig(snr_threshold_db=-math.inf)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pseudolabel.audio_io import SegmentRecord
-from pseudolabel.snr_filter import PseudoLabelRecord, estimate_snr, filter_pairs
+from pseudolabel import PseudoLabelRecord
+from pseudolabel.snr_filter import estimate_snr, filter_pairs
 
 
 def make_record(snr_db):
