@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 ENCODINGS = ("pcm16", "pcm24", "pcm32", "float32")
-
-_PCM16_SCALE = 32768.0
-_PCM24_SCALE = 8388608.0
-_PCM32_SCALE = 2147483648.0
 
 
 class WavFormatError(ValueError):
@@ -80,10 +78,8 @@ class SegmentRecord:
     farfield_path: str
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
-        if not self.end_s > self.start_s:
-            raise ValueError(f"end_s ({self.end_s}) must exceed start_s ({self.start_s})")
+        if not 0 <= self.start_s < self.end_s < math.inf:
+            raise ValueError(f"need finite 0 <= start_s < end_s, got [{self.start_s}, {self.end_s}]")
         if not self.close_talk_path or not self.farfield_path:
             raise ValueError("close_talk_path and farfield_path must be nonempty")
 
@@ -104,40 +100,37 @@ class SegmentRecord:
 _SEGMENT_TYPES = get_type_hints(SegmentRecord)
 
 
-def _iter_chunks(blob: bytes):
-    pos = 12
-    while pos + 8 <= len(blob):
-        cid = blob[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        yield cid, pos + 8, size
-        pos += 8 + size + (size & 1)  # chunks are word aligned
+# (format tag, bits) -> (sample dtype, full-scale divisor); read_wav widens PCM24 to int32.
+_DECODERS = {(1, 16): ("<i2", 2.0**15), (1, 24): ("<i4", 2.0**31), (1, 32): ("<i4", 2.0**31),
+             (3, 32): ("<f4", 1.0), (3, 64): ("<f8", 1.0)}
 
 
-def _decode_pcm24(raw: bytes) -> np.ndarray:
-    b = np.frombuffer(raw, dtype=np.uint8)
-    b = b[: (b.size // 3) * 3].reshape(-1, 3).astype(np.int32)
-    v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-    v = np.where(v & 0x800000, v - (1 << 24), v)
-    return v / _PCM24_SCALE
+class _WavHeader(NamedTuple):
+    rate: int
+    n_channels: int
+    width: int  # bytes per sample
+    dtype: str
+    scale: float
+    data_offset: int
+    n_frames: int  # whole frames in the data chunk's bytes present in the file
 
 
-def read_wav(path) -> AudioClip:
-    """Read a PCM16/PCM24/PCM32/float32 WAV file into a float clip.
-
-    Integer samples are normalized by the type's full-scale magnitude
-    (32768, 2**23, 2**31), so a full-scale PCM16 file reads back as
-    +-32767/32768.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+def _read_header(fh, path) -> _WavHeader:
+    """Walk the RIFF chunk headers of an open file without reading ``data``."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
-    fmt = None
-    data = None
-    for cid, off, size in _iter_chunks(blob):
+    fmt, data, pos = None, None, 12
+    while pos + 8 <= size and (fmt is None or data is None):
+        fh.seek(pos)
+        cid, n = struct.unpack("<4sI", fh.read(8))
+        usable = min(n, size - pos - 8)  # a declared size may overrun the file
         if cid == b"fmt " and fmt is None:
-            fmt = blob[off : off + size]
+            fmt = fh.read(usable)
         elif cid == b"data" and data is None:
-            data = blob[off : off + min(size, len(blob) - off)]
+            data = (pos + 8, usable)
+        pos += 8 + n + (n & 1)  # chunks are word aligned
     if fmt is None or len(fmt) < 16:
         raise WavFormatError(f"{path}: missing or truncated fmt chunk")
     if data is None:
@@ -149,44 +142,66 @@ def read_wav(path) -> AudioClip:
         (tag,) = struct.unpack_from("<H", fmt, 24)
     if n_ch < 1 or rate <= 0:
         raise WavFormatError(f"{path}: malformed fmt chunk")
-
-    if tag == 1 and bits == 16:
-        flat = np.frombuffer(data[: len(data) // 2 * 2], dtype="<i2") / _PCM16_SCALE
-    elif tag == 1 and bits == 24:
-        flat = _decode_pcm24(data)
-    elif tag == 1 and bits == 32:
-        flat = np.frombuffer(data[: len(data) // 4 * 4], dtype="<i4") / _PCM32_SCALE
-    elif tag == 3 and bits == 32:
-        flat = np.frombuffer(data[: len(data) // 4 * 4], dtype="<f4").astype(np.float64)
-    elif tag == 3 and bits == 64:
-        flat = np.frombuffer(data[: len(data) // 8 * 8], dtype="<f8").copy()
-    else:
+    if (tag, bits) not in _DECODERS:
         raise WavFormatError(f"{path}: unsupported encoding (format tag {tag}, {bits}-bit)")
+    width = bits // 8
+    return _WavHeader(rate, n_ch, width, *_DECODERS[tag, bits], data[0], data[1] // (width * n_ch))
 
-    flat = flat[: (flat.size // n_ch) * n_ch]
-    samples = flat.reshape(-1, n_ch).T.copy()
-    return AudioClip(samples, int(rate))
+
+def _sample_rate(path) -> int:
+    """The sample rate in a WAV header; a bad header raises as :func:`read_wav` does."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path).rate
+
+
+def _frame_range(n_frames: int, rate: int, start_s: float, end_s: float | None) -> tuple[int, int]:
+    """The rule of :func:`cut_segment` on a clip of ``n_frames``; ``end_s=None``
+    means the clip end, and with ``start_s=0`` the whole (maybe empty) clip."""
+    if end_s is None and start_s == 0:
+        return 0, n_frames
+    if start_s < 0 or not (end_s is None or end_s > start_s):
+        raise ValueError(f"need 0 <= start_s < end_s, got [{start_s}, {end_s}]")
+    i0 = round(start_s * rate)
+    if i0 >= n_frames:
+        raise ValueError(f"segment start {start_s}s is beyond the clip end ({n_frames / rate:.3f}s)")
+    i1 = n_frames if end_s is None else round(end_s * rate)
+    if i1 > n_frames:
+        warnings.warn(f"segment end {end_s}s clamped to clip end ({n_frames / rate:.3f}s)",
+                      SegmentClampWarning, stacklevel=3)
+        i1 = n_frames
+    return i0, i1
+
+
+def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioClip:
+    """Read a PCM16/PCM24/PCM32/float32/float64 WAV file into a float clip.
+
+    Only the frames of [start_s, end_s) are read, under the rule of
+    :func:`cut_segment`; by default the whole file. Integer samples are
+    normalized by the type's full-scale magnitude (32768, 2**23, 2**31),
+    so a full-scale PCM16 file reads back as +-32767/32768.
+    """
+    with open(path, "rb") as fh:
+        h = _read_header(fh, path)
+        i0, i1 = _frame_range(h.n_frames, h.rate, start_s, end_s)
+        fh.seek(h.data_offset + i0 * h.width * h.n_channels)
+        raw = fh.read((i1 - i0) * h.width * h.n_channels)
+    if h.width == 3:  # widen each PCM24 sample into the top three bytes of an int32
+        raw = np.pad(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3), ((0, 0), (1, 0)))
+    frames = np.frombuffer(raw, dtype=h.dtype).reshape(-1, h.n_channels).T
+    return AudioClip(np.divide(frames, h.scale, dtype=np.float64, order="C"), h.rate)
 
 
 def _encode(samples: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
     """Interleave and quantize; returns (payload, format_tag, bits)."""
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
     inter = samples.T.ravel()
     if encoding == "float32":
         return inter.astype("<f4").tobytes(), 3, 32
-    if encoding == "pcm16":
-        q = np.clip(np.round(inter * _PCM16_SCALE), -32768, 32767)
-        return q.astype("<i2").tobytes(), 1, 16
-    if encoding == "pcm24":
-        q = np.clip(np.round(inter * _PCM24_SCALE), -8388608, 8388607).astype(np.int64)
-        b = np.empty((q.size, 3), dtype=np.uint8)
-        b[:, 0] = q & 0xFF
-        b[:, 1] = (q >> 8) & 0xFF
-        b[:, 2] = (q >> 16) & 0xFF
-        return b.tobytes(), 1, 24
-    if encoding == "pcm32":
-        q = np.clip(np.round(inter * _PCM32_SCALE), -2147483648, 2147483647)
-        return q.astype("<i4").tobytes(), 1, 32
-    raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
+    bits = int(encoding[3:])
+    full = 2.0 ** (bits - 1)
+    q = np.clip(np.round(inter * full), -full, full - 1).astype("<i4") << (32 - bits)
+    return q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :].tobytes(), 1, bits  # top bytes
 
 
 def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
@@ -235,20 +250,5 @@ def cut_segment(clip: AudioClip, start_s: float, end_s: float) -> AudioClip:
     Ends past the clip are clamped (with a :class:`SegmentClampWarning`);
     a start at or past the clip end is an error.
     """
-    if start_s < 0 or not end_s > start_s:
-        raise ValueError(f"need 0 <= start_s < end_s, got [{start_s}, {end_s}]")
-    rate = clip.sample_rate
-    i0 = round(start_s * rate)
-    if i0 >= clip.n_samples:
-        raise ValueError(
-            f"segment start {start_s}s is beyond the clip end ({clip.duration_s:.3f}s)"
-        )
-    i1 = round(end_s * rate)
-    if i1 > clip.n_samples:
-        warnings.warn(
-            f"segment end {end_s}s clamped to clip end ({clip.duration_s:.3f}s)",
-            SegmentClampWarning,
-            stacklevel=2,
-        )
-        i1 = clip.n_samples
-    return AudioClip(clip.samples[:, i0:i1].copy(), rate)
+    i0, i1 = _frame_range(clip.n_samples, clip.sample_rate, start_s, end_s)
+    return AudioClip(clip.samples[:, i0:i1].copy(), clip.sample_rate)

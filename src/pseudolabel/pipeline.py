@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentClampWarning, SegmentRecord, cut_segment, read_wav, write_wav
+from .audio_io import AudioClip, SegmentClampWarning, SegmentRecord, _sample_rate, read_wav, write_wav
+from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
 from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, estimate_snr, filter_pairs
@@ -96,19 +97,16 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
                 raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
         if clash is not None:
             raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
+        # Both headers before either range: a bad file or rate outranks a range fault.
+        rate = config.stft.sample_rate
+        close_rate, far_rate = _sample_rate(seg.close_talk_path), _sample_rate(seg.farfield_path)
+        if close_rate != rate or far_rate != rate:
+            raise ValueError(f"sample rate mismatch: close {close_rate}, far {far_rate}, config {rate}")
         with warnings.catch_warnings():
             # Diarization routinely overshoots media bounds; clamping is normal here.
             warnings.simplefilter("ignore", SegmentClampWarning)
-            close = read_wav(seg.close_talk_path)
-            far = read_wav(seg.farfield_path)
-            rate = config.stft.sample_rate
-            if close.sample_rate != rate or far.sample_rate != rate:
-                raise ValueError(
-                    f"sample rate mismatch: close {close.sample_rate}, far {far.sample_rate}, "
-                    f"config {rate}"
-                )
-            s1 = cut_segment(close, seg.start_s, seg.end_s).channels[0]
-            y = cut_segment(far, seg.start_s, seg.end_s).channels[0]
+            s1 = read_wav(seg.close_talk_path, seg.start_s, seg.end_s).channels[0]
+            y = read_wav(seg.farfield_path, seg.start_s, seg.end_s).channels[0]
         for path, x in ((seg.close_talk_path, s1), (seg.farfield_path, y)):
             if not np.isfinite(x).all():
                 raise ValueError(f"non-finite sample in {path}")

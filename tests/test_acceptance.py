@@ -224,7 +224,7 @@ def test_criterion_7_end_to_end_oracle(tmp_path):
             gain_range=(0.05, 0.5), max_decay_ms=50.0, snr_range_db=(0.0, 20.0),
         )
         manifest = parse_segments(manifest_path)
-        truth = [json.loads(line) for line in open(truth_path)]
+        truth = [json.loads(line) for line in truth_path.read_text().splitlines()]
         records = run_tls(manifest, PipelineConfig(output_dir=str(tmp_path / "out")))
         ok = 0
         worst_corr, worst_err = 1.0, 0.0

@@ -1,5 +1,8 @@
 import json
+import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +20,19 @@ from pseudolabel.audio_io import (
 )
 
 
-def raw_wav_bytes(payload: bytes, fmt_tag: int, n_ch: int, rate: int, bits: int) -> bytes:
+def raw_wav_bytes(payload: bytes, fmt_tag: int, n_ch: int, rate: int, bits: int, *,
+                  extensible: bool = False, pre_data: bytes = b"", data_size: int | None = None,
+                  ) -> bytes:
+    """A RIFF/WAVE file; ``pre_data`` goes between ``fmt `` and ``data``, and
+    ``data_size`` overrides the declared ``data`` size."""
     block = n_ch * bits // 8
-    fmt = struct.pack("<HHIIHH", fmt_tag, n_ch, rate, rate * block, block, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_tag, n_ch, rate, rate * block,
+                      block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, then the real tag leads the GUID
+        fmt += struct.pack("<HHIH", 22, bits, 0, fmt_tag) + bytes(14)
+    size = len(payload) if data_size is None else data_size
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + pre_data
+    body += b"data" + struct.pack("<I", size) + payload
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
@@ -174,6 +185,15 @@ class TestParseSegments:
         with pytest.raises(ManifestError, match="missing field"):
             parse_segments(path)
 
+    def test_infinite_end_names_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        good = {"session_id": "s", "speaker_id": "a", "start_s": 0, "end_s": 1,
+                "close_talk_path": "c", "farfield_path": "f"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"end_s": math.inf}) + "\n")
+        with pytest.raises(ManifestError, match="line 2.*finite") as exc:
+            parse_segments(path)
+        assert exc.value.line_no == 2
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"
         row = {"session_id": "s", "speaker_id": "a", "start_s": 0, "end_s": 1,
@@ -232,3 +252,100 @@ class TestSegmentRecord:
     def test_empty_path(self):
         with pytest.raises(ValueError, match="nonempty"):
             SegmentRecord("s", "a", 0.0, 1.0, "", "f")
+
+    @pytest.mark.parametrize("start,end", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan),
+                                           (-math.inf, 1.0), (math.inf, math.inf)])
+    def test_non_finite_interval(self, start, end):
+        with pytest.raises(ValueError, match="finite"):
+            SegmentRecord("s", "a", start, end, "c", "f")
+
+
+def _outcome(fn):
+    """The clip or the raised error, and every warning, as comparable values."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            clip = fn()
+            result = ("ok", clip.samples.shape, clip.samples.tobytes(), clip.sample_rate)
+        except ValueError as exc:
+            result = ("error", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# (format tag, bits, dtype) of every encoding read_wav decodes
+_RAW_ENCODINGS = {"pcm16": (1, 16, "<i2"), "pcm24": (1, 24, None), "pcm32": (1, 32, "<i4"),
+                  "float32": (3, 32, "<f4"), "float64": (3, 64, "<f8")}
+
+
+def _payload(rng, encoding: str, n_samples: int) -> bytes:
+    tag, bits, dtype = _RAW_ENCODINGS[encoding]
+    if encoding == "pcm24":
+        return rng.integers(0, 256, 3 * n_samples, dtype=np.uint8).tobytes()
+    if tag == 1:
+        info = np.iinfo(dtype)
+        return rng.integers(info.min, info.max, n_samples, endpoint=True).astype(dtype).tobytes()
+    return rng.standard_normal(n_samples).astype(dtype).tobytes()
+
+
+class TestRangedRead:
+    """``read_wav(p, a, b)`` is ``cut_segment(read_wav(p), a, b)``, seek for seek."""
+
+    @pytest.mark.parametrize("n_ch", [1, 2])
+    @pytest.mark.parametrize("encoding", list(_RAW_ENCODINGS))
+    @pytest.mark.parametrize("layout", ["plain", "extensible", "chunks_before_data", "overrun"])
+    def test_equals_whole_read_then_cut(self, tmp_path, encoding, n_ch, layout):
+        rng = np.random.default_rng([n_ch, len(encoding), len(layout)])
+        rate, n_frames = 8000, 2411
+        tag, bits, _ = _RAW_ENCODINGS[encoding]
+        payload = _payload(rng, encoding, n_ch * n_frames)
+        kwargs = {}
+        if layout == "extensible":
+            kwargs["extensible"] = True
+        elif layout == "chunks_before_data":  # a LIST chunk, then an odd one plus its pad byte
+            kwargs["pre_data"] = (b"LIST" + struct.pack("<I", 4) + b"INFO"
+                                  + b"junk" + struct.pack("<I", 3) + b"abc\x00")
+        elif layout == "overrun":  # declared size runs past the file; a partial frame trails
+            payload += b"\x01"
+            kwargs["data_size"] = len(payload) + 1000
+        path = tmp_path / "x.wav"
+        path.write_bytes(raw_wav_bytes(payload, tag, n_ch, rate, bits, **kwargs))
+        whole = read_wav(path)
+        assert whole.n_samples == n_frames and whole.n_channels == n_ch
+        duration = n_frames / rate
+        pairs = [(0.0, duration), (0.0, duration + 1.0), (duration - 1e-3, duration + 0.5),
+                 (duration, duration + 1.0), (duration + 0.2, duration + 0.3), (0.1, 0.1)]
+        for _ in range(40):
+            a = float(rng.uniform(0.0, duration * 1.1))
+            pairs.append((a, a + float(rng.uniform(1e-4, duration * 0.6))))
+        outcomes = set()
+        for a, b in pairs:
+            ranged = _outcome(lambda: read_wav(path, a, b))
+            assert ranged == _outcome(lambda: cut_segment(whole, a, b)), (a, b)
+            outcomes.add("clamped" if ranged[1] else ranged[0][0])
+        assert outcomes == {"ok", "clamped", "error"}
+        # no end: from the start to the end of the file
+        np.testing.assert_array_equal(read_wav(path, 0.1).samples, whole.samples[:, 800:])
+
+    def test_whole_read_of_an_empty_data_chunk(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(raw_wav_bytes(b"", 1, 2, 16000, 16))
+        assert read_wav(path).samples.shape == (2, 0)
+        with pytest.raises(ValueError, match="beyond"):
+            read_wav(path, 0.0, 1.0)
+
+    def test_memory_is_bounded_by_the_range(self, tmp_path):
+        path = tmp_path / "long.wav"
+        rate = 16000
+        write_wav(path, AudioClip(np.zeros(60 * rate), rate), "float32")
+
+        def peak(*args):
+            tracemalloc.start()
+            try:
+                read_wav(path, *args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, one_second = peak(), peak(30.0, 31.0)
+        assert whole > 60 * rate * 4  # numpy reports its buffers to tracemalloc
+        assert one_second < whole / 10

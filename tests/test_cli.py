@@ -108,9 +108,9 @@ class TestSimulateAndRun:
         out_dir = tmp_path / "out"
         assert main(["run", "--manifest", str(corpus / "manifest.jsonl"),
                      "--out", str(out_dir)]) == 0
-        results = [json.loads(l) for l in open(out_dir / "results.jsonl")]
+        results = [json.loads(l) for l in (out_dir / "results.jsonl").read_text().splitlines()]
         assert len(results) == 3
-        truth = [json.loads(l) for l in open(corpus / "truth.jsonl")]
+        truth = [json.loads(l) for l in (corpus / "truth.jsonl").read_text().splitlines()]
         for row, t in zip(results, truth):
             assert row["status"] == "ok"
             assert row["offset_samples"] == -t["delay"]
@@ -121,6 +121,15 @@ class TestSimulateAndRun:
     def test_missing_manifest_is_batch_failure(self, tmp_path):
         assert main(["run", "--manifest", str(tmp_path / "no.jsonl"),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_infinite_manifest_end_is_bad_manifest(self, tmp_path, capsys):
+        row = {"session_id": "s", "speaker_id": "a", "start_s": 0.0, "end_s": math.inf,
+               "close_talk_path": "c.wav", "farfield_path": "f.wav"}
+        (tmp_path / "m.jsonl").write_text(json.dumps(row) + "\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--manifest", str(tmp_path / "m.jsonl"), "--out", str(out_dir)]) == 1
+        assert "bad manifest: line 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_required_flags(self, tmp_path):
         assert main(["run"]) == 2
@@ -182,13 +191,13 @@ class TestConfigFile:
                        "snr_threshold_db = 1000\n")
         # config alone: threshold 1000 discards everything
         assert main(["run", "--config", str(cfg)]) == 0
-        rows = [json.loads(l) for l in open(out_dir / "results.jsonl")]
+        rows = [json.loads(l) for l in (out_dir / "results.jsonl").read_text().splitlines()]
         assert rows[0]["kept"] is False
         # flag overrides the config threshold
         override_dir = tmp_path / "from_flag"
         assert main(["run", "--config", str(cfg), "--out", str(override_dir),
                      "--snr-threshold-db", "-10"]) == 0
-        rows = [json.loads(l) for l in open(override_dir / "results.jsonl")]
+        rows = [json.loads(l) for l in (override_dir / "results.jsonl").read_text().splitlines()]
         assert rows[0]["kept"] is True
 
     def test_bad_config_is_usage_error(self, tmp_path):

@@ -153,6 +153,36 @@ class TestRunTls:
         assert sorted(p.name for p in out_dir.iterdir()) == \
                sorted(Path(r.output_path).name for r in clean)
 
+    # Each row has two faults; the status names the one checked first. The order
+    # is: ids, name clash, close header, far header, rate, close range, far range,
+    # finiteness.
+    @pytest.mark.parametrize("close,far,rate,start,expected", [
+        ("1s", "1s", 8000, 2.0, "error: sample rate mismatch: close 16000, far 16000, config 8000"),
+        ("1s", "junk", 16000, 2.0, "error: {far}: not a RIFF/WAVE file"),
+        ("junk", "missing", 16000, 0.0, "error: {close}: not a RIFF/WAVE file"),
+        ("1s", "2s", 16000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
+        ("3s_nan", "1s", 16000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
+    ], ids=["rate_before_range", "far_header_before_close_range", "close_header_before_far_file",
+            "close_range_before_far_range", "range_before_finiteness"])
+    def test_row_reports_the_first_of_two_faults(self, tmp_path, close, far, rate, start,
+                                                 expected):
+        paths = {}
+        for role, spec in (("close", close), ("far", far)):
+            path = paths[role] = tmp_path / f"{role}.wav"
+            if spec == "junk":
+                path.write_bytes(b"not a wav file")
+            elif spec != "missing":
+                x = np.full(int(spec[0]) * 16000, 0.1)
+                if spec.endswith("nan"):
+                    x[int(2.25 * 16000)] = np.nan  # inside the segment
+                write_wav(path, AudioClip(x, 16000), "float32")
+        seg = SegmentRecord("s", "a", start, start + 0.5, str(paths["close"]), str(paths["far"]))
+        config = PipelineConfig(stft=__import__("pseudolabel").StftConfig(sample_rate=rate),
+                                output_dir=str(tmp_path / "out"))
+        [rec] = run_tls([seg], config)
+        assert rec.status == expected.format(**paths)
+        assert not rec.kept and rec.output_path is None
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_colliding_output_names_fail_later_rows(self, tmp_path, workers):
         a, _ = write_scenario(tmp_path, "a", seed=70)
@@ -198,7 +228,7 @@ class TestResultsIO:
         path = tmp_path / "results.jsonl"
         write_results(records, path)
         # strict JSON: every line must parse with a standard parser
-        for line in open(path):
+        for line in path.read_text().splitlines():
             json.loads(line)
         back = read_results(path)
         assert [r.snr_db for r in back] == [math.inf, -math.inf, None, -3.25]

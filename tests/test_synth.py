@@ -152,8 +152,8 @@ class TestSimulateCorpus:
     def test_writes_consistent_corpus(self, tmp_path):
         manifest_path, truth_path = simulate_corpus(tmp_path / "c", count=3, seed=5,
                                                     duration_range=(1.0, 2.0))
-        manifest = [json.loads(l) for l in open(manifest_path)]
-        truth = [json.loads(l) for l in open(truth_path)]
+        manifest = [json.loads(l) for l in manifest_path.read_text().splitlines()]
+        truth = [json.loads(l) for l in truth_path.read_text().splitlines()]
         assert len(manifest) == len(truth) == 3
         for m, t in zip(manifest, truth):
             assert m["session_id"] == t["session_id"]
@@ -172,8 +172,8 @@ class TestSimulateCorpus:
     def test_reproducible(self, tmp_path):
         m1, _ = simulate_corpus(tmp_path / "a", count=2, seed=9, duration_range=(1.0, 1.5))
         m2, _ = simulate_corpus(tmp_path / "b", count=2, seed=9, duration_range=(1.0, 1.5))
-        rows1 = [json.loads(l) for l in open(m1)]
-        rows2 = [json.loads(l) for l in open(m2)]
+        rows1 = [json.loads(l) for l in m1.read_text().splitlines()]
+        rows2 = [json.loads(l) for l in m2.read_text().splitlines()]
         for a, b in zip(rows1, rows2):
             assert a["end_s"] == b["end_s"]
             wa = read_wav(a["farfield_path"])
