@@ -53,10 +53,7 @@ class StftConfig:
         win = make_window(self.window_kind, self.n_fft)
         # Invertibility: the overlapped analysis*synthesis product must be
         # strictly positive at every sample phase.
-        wsq = win * win
-        profile = np.zeros(self.hop)
-        for start in range(0, self.n_fft, self.hop):
-            profile += wsq[start : start + self.hop]
+        profile = (win * win).reshape(-1, self.hop).sum(axis=0)
         if profile.min() <= 1e-6 * profile.max():
             raise ValueError(
                 f"window {self.window_kind!r} with hop={self.hop} is not invertible"
@@ -162,21 +159,29 @@ def stft(signal, config: StftConfig) -> Spectrogram:
 
 
 def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
-    """Windowed overlap-add synthesis, trimmed or zero-padded to ``target_len``."""
+    """Windowed overlap-add synthesis, trimmed or zero-padded to ``target_len``.
+
+    The overlap-add runs over the ``n_fft // hop`` phases of a frame, not
+    over frames: phase ``j`` of every frame lands in hop-block ``t + j``.
+    Phases are added in descending ``j``, which is ascending frame order
+    at each sample, so every sample gets its terms in the same order as
+    a per-frame loop would add them, and the same bits.
+    """
     if target_len <= 0:
         raise ValueError(f"target_len must be positive, got {target_len}")
     cfg = spec.config
     win = cfg.window()
-    frames = np.fft.irfft(spec.data, n=cfg.n_fft, axis=1) * win
-    n_frames = frames.shape[0]
-    total = (n_frames - 1) * cfg.hop + cfg.n_fft
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    wsq = win * win
-    for t in range(n_frames):
-        start = t * cfg.hop
-        out[start : start + cfg.n_fft] += frames[t]
-        norm[start : start + cfg.n_fft] += wsq
+    n_frames = spec.n_frames
+    k = cfg.n_fft // cfg.hop
+    blocks = (np.fft.irfft(spec.data, n=cfg.n_fft, axis=1) * win).reshape(n_frames, k, cfg.hop)
+    wsq = (win * win).reshape(k, cfg.hop)
+    out = np.zeros((n_frames + k - 1, cfg.hop))
+    norm = np.zeros_like(out)
+    for j in range(k - 1, -1, -1):
+        out[j : j + n_frames] += blocks[:, j]
+        norm[j : j + n_frames] += wsq[j]
+    out = out.ravel()
+    norm = norm.ravel()
     covered = norm > norm.max() * 1e-12
     out[covered] /= norm[covered]
     out[~covered] = 0.0

@@ -24,8 +24,20 @@ class AlignmentResult:
     refined_offset: float | None = None
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (max(n, 1) - 1).bit_length()
+def _fft_len(n: int) -> int:
+    """Smallest 5-smooth integer ``2**a * 3**b * 5**c`` that is >= ``n``."""
+    best = 1 << (max(n, 1) - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def gcc_phat(s1, y, max_lag: int, eps: float = 1e-12, refine: bool = False) -> AlignmentResult:
@@ -36,6 +48,12 @@ def gcc_phat(s1, y, max_lag: int, eps: float = 1e-12, refine: bool = False) -> A
     estimate insensitive to spectral coloration and overall scale.
     ``refine=True`` adds a parabolic-interpolation peak estimate for
     diagnostics; the returned integer offset is unaffected.
+
+    The FFT length is the smallest 5-smooth ``n`` of at least
+    ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
+    up circular aliasing, and of at least ``2 * max_lag + 2``, so every
+    lag in the window is distinct. The cost grows with the longer
+    signal plus ``max_lag``, not with twice the signal length.
     """
     s1 = np.asarray(s1, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -49,7 +67,7 @@ def gcc_phat(s1, y, max_lag: int, eps: float = 1e-12, refine: bool = False) -> A
     if max_lag >= min_len:
         raise ValueError(f"max_lag {max_lag} >= padded correlation length {min_len}")
 
-    n = _next_pow2(max(min_len, 2 * max_lag + 2))
+    n = _fft_len(max(max(s1.size, y.size) + max_lag + 1, 2 * max_lag + 2))
     cross = np.fft.rfft(s1, n) * np.conj(np.fft.rfft(y, n))
     mag = np.abs(cross)
     floor = eps * mag.max()

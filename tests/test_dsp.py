@@ -27,6 +27,24 @@ def naive_dft(frame):
     return np.exp(-2j * np.pi * np.outer(k, t) / n) @ frame
 
 
+def loop_istft(spec, target_len):
+    """Reference overlap-add: one frame at a time, in frame order."""
+    cfg = spec.config
+    win = cfg.window()
+    frames = np.fft.irfft(spec.data, n=cfg.n_fft, axis=1) * win
+    total = (spec.n_frames - 1) * cfg.hop + cfg.n_fft
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    for t in range(spec.n_frames):
+        out[t * cfg.hop : t * cfg.hop + cfg.n_fft] += frames[t]
+        norm[t * cfg.hop : t * cfg.hop + cfg.n_fft] += win * win
+    covered = norm > norm.max() * 1e-12
+    out[covered] /= norm[covered]
+    out[~covered] = 0.0
+    y = out[cfg.n_fft // 2 : cfg.n_fft // 2 + target_len]
+    return np.pad(y, (0, target_len - y.size))
+
+
 def frame_of(x, cfg, t):
     """Windowed analysis frame per the padding contract, computed independently."""
     pad = cfg.n_fft // 2
@@ -174,6 +192,17 @@ class TestIstft:
         spec = Spectrogram(np.zeros((4, cfg.n_bins)), cfg)
         with pytest.raises(ValueError):
             istft(spec, 0)
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.window_kind}-{c.n_fft}-{c.hop}")
+    def test_bit_identical_to_frame_loop(self, cfg):
+        rng = np.random.default_rng(cfg.n_fft * cfg.hop)
+        # 2 frames is fewer than n_fft // hop for every hop = n_fft / 4
+        for n_frames in (1, 2, 3, 40):
+            shape = (n_frames, cfg.n_bins)
+            spec = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg)
+            for target_len in (1, cfg.hop + 1, (n_frames - 1) * cfg.hop, n_frames * cfg.hop + 777):
+                target_len = max(target_len, 1)
+                assert np.array_equal(istft(spec, target_len), loop_istft(spec, target_len))
 
 
 class TestMagnitude:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudolabel.time_align import apply_shift, gcc_phat
+from pseudolabel.time_align import _fft_len, apply_shift, gcc_phat
 
 
 def brute_force_offset(s1, y, max_lag):
@@ -115,6 +115,58 @@ class TestGccPhat:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             gcc_phat(np.array([]), np.ones(10), max_lag=2)
+
+
+class TestFftLen:
+    def test_smallest_5_smooth_at_least_n(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        expected = 20480  # 2**12 * 5, the smallest 5-smooth integer >= 20000
+        for n in range(20000, 0, -1):
+            if smooth(n):
+                expected = n
+            assert _fft_len(n) == expected, n
+
+
+class TestGccPhatGrid:
+    """Lengths where the FFT grid rule matters: unequal signals, short signals."""
+
+    @pytest.mark.parametrize("s1_len, y_len", [(16000, 4000), (4000, 16000)])
+    def test_unequal_lengths_match_oracle(self, s1_len, y_len):
+        # y is a weak copy of s1 at a lag inside the window plus a loud burst
+        # that matches s1's far edge, at a lag just past the longest overlap:
+        # an FFT shorter than max(len) + max_lag + 1 wraps it into the window.
+        max_lag, burst = 1000, 100
+        rng = np.random.default_rng(s1_len)
+        for _ in range(8):
+            src = rng.standard_normal(3 * (s1_len + y_len))
+            base = s1_len + y_len
+            s1 = src[base : base + s1_len]
+            d = int(rng.integers(-max_lag, max_lag + 1))
+            y = 0.3 * src[base + d : base + d + y_len] + 0.1 * rng.standard_normal(y_len)
+            if s1_len > y_len:
+                y[:burst] += 15.0 * s1[-burst:]
+            else:
+                y[-burst:] += 15.0 * s1[:burst]
+            res = gcc_phat(s1, y, max_lag=max_lag)
+            assert res.offset_samples == d
+            assert res.offset_samples == brute_force_offset(s1, y, max_lag)
+
+    @pytest.mark.parametrize("max_lag", [400, 600])
+    def test_signals_no_longer_than_max_lag_match_oracle(self, max_lag):
+        rng = np.random.default_rng(max_lag)
+        for _ in range(10):
+            d = int(rng.integers(-300, 301))
+            src = rng.standard_normal(1200)
+            s1 = src[400:800]
+            y = 0.5 * src[400 + d : 800 + d] + 0.1 * rng.standard_normal(400)
+            res = gcc_phat(s1, y, max_lag=max_lag)
+            assert res.offset_samples == d
+            assert res.offset_samples == brute_force_offset(s1, y, max_lag)
 
 
 class TestApplyShift:
