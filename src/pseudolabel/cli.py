@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import gridio
-from .audio_io import ManifestError, read_wav, parse_segments
+from .audio_io import AudioClip, ManifestError, read_wav, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, magnitude, stft
 from .level_align import MflfConfig
 from .losses import iam_target, mca_loss
-from .pipeline import PipelineConfig, default_worker_count, run_tls, write_results
+from .pipeline import PipelineConfig, run_tls, write_results
 from .snr_filter import estimate_snr
 from .synth import simulate_corpus
 from .time_align import gcc_phat
@@ -61,6 +61,10 @@ class ConfigError(ValueError):
     pass
 
 
+class _RateMismatch(Exception):
+    """Two WAVs given to one subcommand have different sample rates (exit 1)."""
+
+
 def parse_config_file(path) -> dict:
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -86,6 +90,19 @@ def _add_field_flag(parser, key: str, **kwargs) -> None:
                         choices=WINDOW_KINDS if key == "window" else None, **kwargs)
 
 
+def _defaults(func) -> dict:
+    """``func``'s parameter defaults; a flag that feeds a parameter defaults to it."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+def _read_pair(path_a, path_b) -> tuple[AudioClip, AudioClip]:
+    """The two WAVs of ``snr``, ``align`` or ``iam``, whose rates must agree."""
+    a, b = read_wav(path_a), read_wav(path_b)
+    if a.sample_rate != b.sample_rate:
+        raise _RateMismatch("sample rates differ")
+    return a, b
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudolabel",
@@ -104,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--count", type=int, default=50)
     # Every other default is simulate_corpus's own; a range gives a low and a high flag.
-    d = {name: p.default for name, p in inspect.signature(simulate_corpus).parameters.items()}
+    d = _defaults(simulate_corpus)
     sim_defaults = {
         "seed": d["seed"], "sample_rate": d["sample_rate"],
         "min_duration_s": d["duration_range"][0], "max_duration_s": d["duration_range"][1],
@@ -127,13 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     mca = sub.add_parser("mca", help="loss report for two magnitude grid dumps")
     mca.add_argument("target")
     mca.add_argument("estimate")
-    mca.add_argument("--alpha", type=float, default=1.0)
+    mca.add_argument("--alpha", type=float, default=_defaults(mca_loss)["alpha"])
 
     iam = sub.add_parser("iam", help="ideal amplitude mask target from clean + mixture WAVs")
     iam.add_argument("clean")
     iam.add_argument("mixture")
     iam.add_argument("-o", "--out", required=True, help="output grid file")
-    iam.add_argument("--clip-max", type=float, default=2.0, dest="clip_max")
+    iam.add_argument("--clip-max", type=float, default=_defaults(iam_target)["clip_max"])
     for key in ("n_fft", "hop", "window"):
         _add_field_flag(iam, key, default=_field_default(key))
 
@@ -148,8 +165,6 @@ def _cmd_run(args) -> int:
     if not manifest_path or not out_dir:
         print("run: --manifest and --out are required (flag or config file)", file=sys.stderr)
         return 2
-    if "workers" not in values:
-        values["workers"] = default_worker_count()
     # Only the keys set above reach the constructors; the dataclasses supply
     # every other default.
     fields = {StftConfig: {}, MflfConfig: {}, PipelineConfig: {}}
@@ -190,18 +205,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_snr(args) -> int:
-    estimate = read_wav(args.estimate).channels[0]
-    reference = read_wav(args.reference).channels[0]
-    print(f"{estimate_snr(estimate, reference):.6g}")
+    estimate, reference = _read_pair(args.estimate, args.reference)
+    print(f"{estimate_snr(estimate.channels[0], reference.channels[0]):.6g}")
     return 0
 
 
 def _cmd_align(args) -> int:
-    close = read_wav(args.close)
-    reference = read_wav(args.reference)
-    if close.sample_rate != reference.sample_rate:
-        print("align: sample rates differ", file=sys.stderr)
-        return 1
+    close, reference = _read_pair(args.close, args.reference)
     max_lag = int(round(args.max_lag_s * close.sample_rate))
     result = gcc_phat(close.channels[0], reference.channels[0], max_lag=max_lag, refine=True)
     offset_s = result.offset_samples / close.sample_rate
@@ -221,11 +231,7 @@ def _cmd_mca(args) -> int:
 
 
 def _cmd_iam(args) -> int:
-    clean = read_wav(args.clean)
-    mixture = read_wav(args.mixture)
-    if clean.sample_rate != mixture.sample_rate:
-        print("iam: sample rates differ", file=sys.stderr)
-        return 1
+    clean, mixture = _read_pair(args.clean, args.mixture)
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window,
                      sample_rate=clean.sample_rate)
     mag_clean = magnitude(stft(clean.channels[0], cfg))
@@ -255,6 +261,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except _RateMismatch as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError) as exc:
         print(f"pseudolabel {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -99,7 +99,7 @@ def fcp_weights(Y: Spectrogram, xi: float) -> np.ndarray:
 
 
 def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
-               diag_load: float = 1e-6) -> FilterSet:
+               diag_load: float = MflfConfig.diag_load) -> FilterSet:
     """Solve the per-bin weighted normal equations for the filter taps.
 
     Per bin ``A h = b`` with ``A = sum_t s s^H / lam`` and

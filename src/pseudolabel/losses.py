@@ -20,6 +20,8 @@ import numpy as np
 
 from .dsp import MagnitudeSpectrogram
 
+DEFAULT_MCA_ALPHA = 1.0
+
 
 @dataclass
 class McaReport:
@@ -51,7 +53,7 @@ def _denom_guard(na: float, nb: float) -> float:
     return max(na * nb, 1e-12 * max(na, nb) ** 2, np.finfo(np.float64).tiny)
 
 
-def mca_loss(A, B, alpha: float = 1.0) -> McaReport:
+def mca_loss(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> McaReport:
     """MSE plus alpha-weighted cosine-similarity loss between two grids."""
     A, B = _as_grid(A), _as_grid(B)
     if A.shape != B.shape:
@@ -62,7 +64,7 @@ def mca_loss(A, B, alpha: float = 1.0) -> McaReport:
     return McaReport(mse=mse, cossim_loss=cossim, mca=mse + alpha * cossim, alpha=alpha)
 
 
-def mca_grad(A, B, alpha: float = 1.0) -> np.ndarray:
+def mca_grad(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> np.ndarray:
     """Gradient of the MCA loss with respect to the second grid ``B``."""
     A, B = _as_grid(A), _as_grid(B)
     if A.shape != B.shape:

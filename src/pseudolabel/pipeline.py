@@ -26,21 +26,6 @@ from .level_align import MflfConfig, level_align
 from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, estimate_snr, filter_pairs
 from .time_align import apply_shift, gcc_phat
 
-WORKERS_ENV = "PSEUDOLABEL_WORKERS"
-
-
-def default_worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {count}")
-    return count
-
 
 @dataclass
 class PipelineConfig:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip, SegmentRecord, write_wav
+from .dsp import StftConfig
 
 NOISE_KINDS = ("white", "pink")
 
@@ -133,7 +134,7 @@ def speech_like(duration_s: float, sample_rate: int, seed: int) -> np.ndarray:
     return 0.5 * x / np.max(np.abs(x))
 
 
-def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000,
+def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = StftConfig.sample_rate,
                     duration_range: tuple[float, float] = (4.0, 8.0),
                     delay_range: tuple[int, int] = (0, 4000),
                     gain_range: tuple[float, float] = (0.05, 0.5),

@@ -1,17 +1,23 @@
+import argparse
 import dataclasses
 import functools
 import inspect
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudolabel
 from pseudolabel import PipelineConfig
 from pseudolabel.audio_io import AudioClip, write_wav
-from pseudolabel.cli import main, parse_config_file
-from pseudolabel.pipeline import WORKERS_ENV
+from pseudolabel.cli import build_parser, main, parse_config_file
+from pseudolabel.dsp import StftConfig
 from pseudolabel.gridio import load_grid, save_grid
+from pseudolabel.level_align import MflfConfig, solve_mflf
+from pseudolabel.losses import iam_target, mca_grad, mca_loss
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
 
 
@@ -31,6 +37,27 @@ class TestBasics:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+    def test_version_is_written_once(self):
+        read_configuration = pytest.importorskip("setuptools.config.pyprojecttoml").read_configuration
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools flags [tool.setuptools] as beta
+            project = read_configuration(pyproject)["project"]
+        assert project["version"] == pseudolabel.__version__
+
+
+@pytest.mark.parametrize("command", ["snr", "align", "iam"])
+def test_two_wav_commands_reject_differing_rates(tmp_path, capsys, command):
+    x = speech_like(0.5, 16000, 0)
+    a = wav_of(tmp_path, "a16k.wav", x)
+    b = wav_of(tmp_path, "b8k.wav", x[::2], rate=8000)
+    extra = ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
+    assert main([command, a, b] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"{command}: sample rates differ"
+    assert captured.out == ""
+    assert not (tmp_path / "mask.grid").exists()
 
 
 class TestSnrCommand:
@@ -219,7 +246,6 @@ def run_configs(tmp_path, monkeypatch):
         return []
 
     monkeypatch.setattr("pseudolabel.cli.run_tls", fake_run_tls)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.jsonl").write_text("")
     return configs
@@ -244,7 +270,7 @@ def _field_values(config):
 
 class TestRunConfig:
     def test_dataclasses_supply_every_default(self, run_configs):
-        assert main(["run", "--manifest", "m.jsonl", "--out", "o", "--workers", "1"]) == 0
+        assert main(["run", "--manifest", "m.jsonl", "--out", "o"]) == 0
         assert run_configs == [PipelineConfig(output_dir="o", worker_count=1)]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -269,11 +295,49 @@ class TestRunConfig:
         assert all(len(keys) == 1 for keys in setters.values()), setters
 
     def test_explicit_workers_ignore_invalid_env(self, tmp_path, run_configs, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
+        monkeypatch.setenv("PSEUDOLABEL_WORKERS", "many")
         base = ["run", "--manifest", "m.jsonl", "--out", "o"]
         assert main(base + ["--workers", "1"]) == 0
         (tmp_path / "p.cfg").write_text("workers = 2\n")
         assert main(base + ["--config", "p.cfg"]) == 0
         assert [c.worker_count for c in run_configs] == [1, 2]
-        # with workers unset the environment is read, and rejected
-        assert main(base) == 2
+        # with workers unset the environment is not read; the dataclass default holds
+        assert main(base) == 0
+        assert run_configs[-1].worker_count == PipelineConfig.worker_count == 1
+
+
+def _signature_defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+class TestFlagDefaults:
+    def test_each_flag_default_is_its_owners(self):
+        subparsers, = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        flags = {command: {a.dest: a.default for a in sub._actions
+                           if a.option_strings and a.dest != "help"}
+                 for command, sub in subparsers.choices.items()}
+        stft, sim = StftConfig(), _signature_defaults(simulate_corpus)
+        # run's flags default to unset, so its config file and the dataclasses
+        # fill in (TestRunConfig); required flags have no default to own.
+        assert set(flags["run"].values()) == {None}
+        assert flags["align"] == {"max_lag_s": PipelineConfig().max_lag_s}
+        assert flags["iam"] == {"out": None, "n_fft": stft.n_fft, "hop": stft.hop,
+                                "window": stft.window_kind,
+                                "clip_max": _signature_defaults(iam_target)["clip_max"]}
+        assert flags["mca"] == {"alpha": _signature_defaults(mca_loss)["alpha"]}
+        simulate = flags["simulate"]
+        assert simulate.pop("out") is None
+        simulate.pop("count")  # simulate_corpus has no default count; the CLI owns it
+        assert simulate == {
+            "seed": sim["seed"], "sample_rate": sim["sample_rate"],
+            "min_duration_s": sim["duration_range"][0],
+            "max_duration_s": sim["duration_range"][1],
+            "snr_min_db": sim["snr_range_db"][0], "snr_max_db": sim["snr_range_db"][1],
+            "max_delay": sim["delay_range"][1], "max_decay_ms": sim["max_decay_ms"],
+        }
+
+    def test_library_defaults_read_their_owners(self):
+        assert _signature_defaults(mca_grad)["alpha"] == _signature_defaults(mca_loss)["alpha"]
+        assert _signature_defaults(solve_mflf)["diag_load"] == MflfConfig().diag_load
+        assert _signature_defaults(simulate_corpus)["sample_rate"] == StftConfig().sample_rate

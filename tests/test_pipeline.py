@@ -9,8 +9,6 @@ import pytest
 from pseudolabel.audio_io import AudioClip, SegmentRecord, read_wav, write_wav
 from pseudolabel.pipeline import (
     PipelineConfig,
-    WORKERS_ENV,
-    default_worker_count,
     read_results,
     record_from_dict,
     record_to_dict,
@@ -253,24 +251,6 @@ class TestResultsIO:
         assert record_from_dict(json.loads(json.dumps(record_to_dict(rec)))) == rec
         # a manifest-only row reads back with the dataclass defaults
         assert record_from_dict(seg.to_dict()) == PseudoLabelRecord(seg)
-
-
-class TestWorkerEnv:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert default_worker_count() == 1
-
-    def test_env_respected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "6")
-        assert default_worker_count() == 6
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValueError):
-            default_worker_count()
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.raises(ValueError):
-            default_worker_count()
 
 
 class TestPipelineConfig:
