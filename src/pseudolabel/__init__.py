@@ -18,11 +18,9 @@ from .audio_io import (
     write_wav,
 )
 from .dsp import (
-    MagnitudeSpectrogram,
     Spectrogram,
     StftConfig,
     istft,
-    magnitude,
     make_window,
     stft,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "AudioClip",
     "FilterSet",
     "GridFormatError",
-    "MagnitudeSpectrogram",
     "ManifestError",
     "McaReport",
     "MflfConfig",
@@ -80,7 +77,6 @@ __all__ = [
     "istft",
     "level_align",
     "load_grid",
-    "magnitude",
     "make_window",
     "mca_grad",
     "mca_loss",

@@ -58,10 +58,6 @@ class AudioClip:
         return self.samples.shape[1]
 
     @property
-    def duration_s(self) -> float:
-        return self.samples.shape[1] / self.sample_rate
-
-    @property
     def channels(self) -> list[np.ndarray]:
         return [self.samples[c] for c in range(self.samples.shape[0])]
 
@@ -220,12 +216,12 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
-def parse_segments(path) -> list[SegmentRecord]:
-    """Parse a JSONL segment manifest, one record per line.
+def _read_jsonl(path, parse) -> list:
+    """``parse`` of each JSON object line of ``path``; blank lines are skipped.
 
     Raises :class:`ManifestError` naming the first bad line.
     """
-    records = []
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -238,10 +234,18 @@ def parse_segments(path) -> list[SegmentRecord]:
             if not isinstance(obj, dict):
                 raise ManifestError(f"line {line_no}: expected a JSON object", line_no)
             try:
-                records.append(SegmentRecord.from_dict(obj))
+                rows.append(parse(obj))
             except (TypeError, ValueError) as exc:
                 raise ManifestError(f"line {line_no}: {exc}", line_no) from exc
-    return records
+    return rows
+
+
+def parse_segments(path) -> list[SegmentRecord]:
+    """Parse a JSONL segment manifest, one record per line.
+
+    Raises :class:`ManifestError` naming the first bad line.
+    """
+    return _read_jsonl(path, SegmentRecord.from_dict)
 
 
 def cut_segment(clip: AudioClip, start_s: float, end_s: float) -> AudioClip:

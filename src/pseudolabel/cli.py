@@ -16,9 +16,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import gridio
 from .audio_io import AudioClip, ManifestError, read_wav, parse_segments
-from .dsp import WINDOW_KINDS, StftConfig, magnitude, stft
+from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
 from .losses import iam_target, mca_loss
 from .pipeline import PipelineConfig, run_tls, write_results
@@ -61,8 +63,9 @@ class ConfigError(ValueError):
     pass
 
 
-class _RateMismatch(Exception):
-    """Two WAVs given to one subcommand have different sample rates (exit 1)."""
+class _BadPair(Exception):
+    """Two WAVs given to one subcommand cannot be compared, such as for
+    differing sample rates or lengths (exit 1)."""
 
 
 def parse_config_file(path) -> dict:
@@ -99,7 +102,7 @@ def _read_pair(path_a, path_b) -> tuple[AudioClip, AudioClip]:
     """The two WAVs of ``snr``, ``align`` or ``iam``, whose rates must agree."""
     a, b = read_wav(path_a), read_wav(path_b)
     if a.sample_rate != b.sample_rate:
-        raise _RateMismatch("sample rates differ")
+        raise _BadPair("sample rates differ")
     return a, b
 
 
@@ -206,11 +209,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_snr(args) -> int:
     estimate, reference = _read_pair(args.estimate, args.reference)
-    print(f"{estimate_snr(estimate.channels[0], reference.channels[0]):.6g}")
+    try:
+        snr_db = estimate_snr(estimate.channels[0], reference.channels[0])
+    except ValueError as exc:
+        raise _BadPair(exc) from exc
+    print(f"{snr_db:.6g}")
     return 0
 
 
 def _cmd_align(args) -> int:
+    PipelineConfig(max_lag_s=args.max_lag_s)  # run's rule for max_lag_s, before either read
     close, reference = _read_pair(args.close, args.reference)
     max_lag = int(round(args.max_lag_s * close.sample_rate))
     result = gcc_phat(close.channels[0], reference.channels[0], max_lag=max_lag, refine=True)
@@ -234,10 +242,10 @@ def _cmd_iam(args) -> int:
     clean, mixture = _read_pair(args.clean, args.mixture)
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window,
                      sample_rate=clean.sample_rate)
-    mag_clean = magnitude(stft(clean.channels[0], cfg))
-    mag_mix = magnitude(stft(mixture.channels[0], cfg))
-    n = min(mag_clean.n_frames, mag_mix.n_frames)
-    mask = iam_target(mag_clean.data[:n], mag_mix.data[:n], clip_max=args.clip_max)
+    mag_clean = np.abs(stft(clean.channels[0], cfg).data)
+    mag_mix = np.abs(stft(mixture.channels[0], cfg).data)
+    n = min(len(mag_clean), len(mag_mix))
+    mask = iam_target(mag_clean[:n], mag_mix[:n], clip_max=args.clip_max)
     gridio.save_grid(args.out, mask)
     print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
     return 0
@@ -261,7 +269,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _RateMismatch as exc:
+    except _BadPair as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError) as exc:

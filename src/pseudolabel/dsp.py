@@ -94,51 +94,6 @@ class Spectrogram:
         return self.data.shape[1]
 
 
-@dataclass
-class MagnitudeSpectrogram:
-    """Nonnegative real magnitude grid, indexed [frame, bin]."""
-
-    data: np.ndarray
-    config: StftConfig
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError(f"magnitude data must be 2-D, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("magnitude spectrogram contains non-finite entries")
-        if (self.data < 0).any():
-            raise ValueError("magnitude spectrogram contains negative entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
-
-def _as_channel(signal, config: StftConfig) -> np.ndarray:
-    # AudioClip ducks in with `samples` and `sample_rate`; bare arrays pass through.
-    rate = getattr(signal, "sample_rate", None)
-    if rate is not None:
-        if rate != config.sample_rate:
-            raise ValueError(
-                f"clip sample rate {rate} does not match config rate {config.sample_rate}"
-            )
-        samples = signal.samples
-        if samples.shape[0] != 1:
-            raise ValueError("stft expects a mono clip or a single channel vector")
-        signal = samples[0]
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
-    if x.size == 0:
-        raise ValueError("empty signal")
-    return x
-
-
 def stft(signal, config: StftConfig) -> Spectrogram:
     """One-sided STFT of a single channel.
 
@@ -146,7 +101,11 @@ def stft(signal, config: StftConfig) -> Spectrogram:
     zero-padded by ``n_fft // 2`` on both ends; enough frames are produced
     to cover the whole padded signal.
     """
-    x = _as_channel(signal, config)
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
+    if x.size == 0:
+        raise ValueError("empty signal")
     n_fft, hop = config.n_fft, config.hop
     pad = n_fft // 2
     n_frames = int(np.ceil(x.size / hop)) + 1
@@ -191,7 +150,3 @@ def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
         y = np.pad(y, (0, target_len - y.size))
     return y
 
-
-def magnitude(spec: Spectrogram) -> MagnitudeSpectrogram:
-    """Elementwise complex modulus of a spectrogram."""
-    return MagnitudeSpectrogram(np.abs(spec.data), spec.config)

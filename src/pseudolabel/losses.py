@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import MagnitudeSpectrogram
-
 DEFAULT_MCA_ALPHA = 1.0
 
 
@@ -32,8 +30,6 @@ class McaReport:
 
 
 def _as_grid(x) -> np.ndarray:
-    if isinstance(x, MagnitudeSpectrogram):
-        return x.data
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError("grid contains non-finite entries")

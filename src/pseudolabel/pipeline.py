@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentClampWarning, SegmentRecord, _sample_rate, read_wav, write_wav
+from .audio_io import (AudioClip, SegmentClampWarning, SegmentRecord, _read_jsonl, _sample_rate,
+                       read_wav, write_wav)
 from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
@@ -160,10 +161,5 @@ def write_results(records: list[PseudoLabelRecord], path) -> None:
 
 
 def read_results(path) -> list[PseudoLabelRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
-    return records
+    """Read a results file; raises :class:`ManifestError` naming the first bad line."""
+    return _read_jsonl(path, record_from_dict)

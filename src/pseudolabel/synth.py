@@ -32,7 +32,6 @@ class SynthScenario:
     delay: int = 0
     gain: float = 1.0
     rir_taps: np.ndarray | None = None
-    noise_kind: str = "white"
     noise_snr_db: float = math.inf
     seed: int = 0
 
@@ -41,8 +40,6 @@ class SynthScenario:
             raise ValueError(f"gain must be positive, got {self.gain}")
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
         if self.rir_taps is not None:
             taps = np.asarray(self.rir_taps, dtype=np.float64)
             if taps.size == 0 or taps[0] == 0.0:
@@ -96,7 +93,7 @@ def synth_pair(clean, scenario: SynthScenario) -> tuple[np.ndarray, np.ndarray, 
     """Build (close_talk, far_mixture, direct_sound) from a clean source.
 
     The far mixture applies delay, gain, the optional impulse response,
-    and noise scaled so that direct-to-noise energy hits
+    and white noise scaled so that direct-to-noise energy hits
     ``noise_snr_db`` exactly. The direct sound is the delayed, scaled
     clean signal through the direct tap only.
     """
@@ -111,7 +108,7 @@ def synth_pair(clean, scenario: SynthScenario) -> tuple[np.ndarray, np.ndarray, 
     direct[: delayed.size] = scenario.gain * rir[0] * delayed
     far = scenario.gain * wet
     if math.isfinite(scenario.noise_snr_db):
-        noise = gen_noise(scenario.noise_kind, out_len, scenario.seed)
+        noise = gen_noise("white", out_len, scenario.seed)
         direct_energy = float(np.sum(direct * direct))
         noise_energy = float(np.sum(noise * noise))
         scale = math.sqrt(direct_energy / (noise_energy * 10.0 ** (scenario.noise_snr_db / 10.0)))
@@ -147,6 +144,8 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = StftC
     the generator parameters and the realized direct-vs-residual SNR of
     every segment.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if duration_range[0] > duration_range[1] or duration_range[0] <= 0:
         raise ValueError(f"bad duration_range {duration_range}")
     if delay_range[0] > delay_range[1] or delay_range[0] < 0:
@@ -180,8 +179,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = StftC
                 len_taps = min(int(4 * decay_ms / 1000.0 * sample_rate) + 1, 6400)
                 rir = gen_rir(decay_ms, len_taps, rir_seed, sample_rate)
             scenario = SynthScenario(delay=delay, gain=gain, rir_taps=rir,
-                                     noise_kind="white", noise_snr_db=snr_db,
-                                     seed=noise_seed)
+                                     noise_snr_db=snr_db, seed=noise_seed)
             close, far, direct = synth_pair(clean, scenario)
 
             close_path = out / f"{sid}_close.wav"

@@ -40,11 +40,11 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def gcc_phat(s1, y, max_lag: int, eps: float = 1e-12, refine: bool = False) -> AlignmentResult:
+def gcc_phat(s1, y, max_lag: int, refine: bool = False) -> AlignmentResult:
     """Phase-transform cross-correlation peak over lags in [-max_lag, max_lag].
 
     The cross spectrum is whitened by its own magnitude (floored at
-    ``eps`` times the largest cross-spectral magnitude), which makes the
+    1e-12 times the largest cross-spectral magnitude), which makes the
     estimate insensitive to spectral coloration and overall scale.
     ``refine=True`` adds a parabolic-interpolation peak estimate for
     diagnostics; the returned integer offset is unaffected.
@@ -70,7 +70,7 @@ def gcc_phat(s1, y, max_lag: int, eps: float = 1e-12, refine: bool = False) -> A
     n = _fft_len(max(max(s1.size, y.size) + max_lag + 1, 2 * max_lag + 2))
     cross = np.fft.rfft(s1, n) * np.conj(np.fft.rfft(y, n))
     mag = np.abs(cross)
-    floor = eps * mag.max()
+    floor = 1e-12 * mag.max()
     if floor <= 0.0:
         floor = np.finfo(np.float64).tiny
     corr = np.fft.irfft(cross / np.maximum(mag, floor), n)

@@ -78,6 +78,15 @@ class TestSnrCommand:
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(0.0, abs=0.01)
 
+    def test_length_mismatch_is_a_bad_pair(self, tmp_path, capsys):
+        x = speech_like(0.5, 16000, 0)
+        a = wav_of(tmp_path, "a.wav", x)
+        b = wav_of(tmp_path, "b.wav", x[:-100])
+        assert main(["snr", a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "snr: length mismatch: (8000,) vs (7900,)"
+        assert captured.out == ""
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["snr", str(tmp_path / "no.wav"), str(tmp_path / "no2.wav")]) == 1
 
@@ -93,6 +102,15 @@ class TestAlignCommand:
         out = capsys.readouterr().out
         assert "offset_samples=-160" in out
         assert "peak_ratio=" in out
+
+
+    @pytest.mark.parametrize("max_lag_s", ["inf", "nan", "-1", "0"])
+    def test_bad_max_lag_is_usage_error_before_any_read(self, tmp_path, capsys, max_lag_s):
+        missing = str(tmp_path / "missing.wav")
+        assert main(["align", missing, missing, "--max-lag-s", max_lag_s]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pseudolabel align: max_lag_s must be positive and finite")
+        assert captured.out == ""
 
 
 class TestMcaCommand:
@@ -144,6 +162,14 @@ class TestSimulateAndRun:
             assert row["kept"] is True
         summary = capsys.readouterr().out
         assert "3 segments" in summary
+
+    def test_negative_count_is_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--out", str(corpus), "--count", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "pseudolabel simulate: count must be >= 0, got -3"
+        assert captured.out == ""
+        assert not corpus.exists()
 
     def test_missing_manifest_is_batch_failure(self, tmp_path):
         assert main(["run", "--manifest", str(tmp_path / "no.jsonl"),

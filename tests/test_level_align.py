@@ -164,6 +164,25 @@ class TestSolveMflf:
         assert not fs.flags[50]
         assert np.all(fs.h[fs.flags] == 0)
 
+    def test_singular_live_bin_falls_back_to_per_bin_solve(self):
+        # With no loading, a bin whose only nonzero frame is the last one has
+        # A = diag(a, 0): a positive trace, so it is live, but singular, so the
+        # batched solve raises and every live bin is solved on its own.
+        spec = random_spec(12, 19)
+        spec.data[:, 7] = 0.0
+        spec.data[-1, 7] = 1.0 + 2.0j
+        Y = random_spec(12, 20)
+        lam = fcp_weights(Y, 1e-2)
+        stacked = stack_frames(spec, 2)
+        fs = solve_mflf(stacked, Y, lam, diag_load=0.0)
+        silenced = stacked.copy()
+        silenced[:, 7] = 0.0
+        ref = solve_mflf(silenced, Y, lam, diag_load=0.0)
+        assert np.array_equal(fs.flags, ref.flags)
+        assert np.flatnonzero(fs.flags).tolist() == [7]
+        assert np.all(fs.h[7] == 0)
+        assert np.array_equal(fs.h, ref.h)
+
     def test_scale_of_predictor_absorbed(self):
         spec = random_spec(80, 15)
         rng = np.random.default_rng(16)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudolabel.audio_io import AudioClip, SegmentRecord, read_wav, write_wav
+from pseudolabel.audio_io import AudioClip, ManifestError, SegmentRecord, read_wav, write_wav
 from pseudolabel.pipeline import (
     PipelineConfig,
     read_results,
@@ -232,6 +232,21 @@ class TestResultsIO:
         assert [r.snr_db for r in back] == [math.inf, -math.inf, None, -3.25]
         assert [r.kept for r in back] == [True, False, False, True]
         assert back[2].status == "error: boom"
+
+    @pytest.mark.parametrize("bad_line, line_no, message", [
+        ('{"session_id": "s", "spea', 3, "invalid JSON"),  # torn by an interrupted write
+        ("[1, 2]", 2, "expected a JSON object"),
+    ])
+    def test_bad_row_names_its_file_line(self, tmp_path, bad_line, line_no, message):
+        seg = SegmentRecord("s", "a", 0.0, 1.0, "c.wav", "f.wav")
+        path = tmp_path / "results.jsonl"
+        write_results([PseudoLabelRecord(seg)] * 2, path)
+        lines = path.read_text().splitlines()
+        lines.insert(line_no - 1, bad_line)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ManifestError, match=f"^line {line_no}: {message}") as info:
+            read_results(path)
+        assert info.value.line_no == line_no
 
     def test_record_dict_round_trip(self):
         seg = SegmentRecord("s", "a", 0.5, 2.0, "c.wav", "f.wav")

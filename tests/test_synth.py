@@ -179,3 +179,10 @@ class TestSimulateCorpus:
             wa = read_wav(a["farfield_path"])
             wb = read_wav(b["farfield_path"])
             np.testing.assert_array_equal(wa.samples, wb.samples)
+
+    def test_negative_count_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="count"):
+            simulate_corpus(tmp_path / "c", count=-3)
+        assert not (tmp_path / "c").exists()
+        manifest_path, _ = simulate_corpus(tmp_path / "empty", count=0)
+        assert manifest_path.read_text() == ""
