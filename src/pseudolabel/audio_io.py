@@ -84,6 +84,9 @@ class SegmentRecord:
         missing = [k for k in _SEGMENT_TYPES if k not in obj]
         if missing:
             raise ValueError(f"missing field(s): {', '.join(missing)}")
+        for k in _SEGMENT_TYPES:  # the coercion below would turn null into "None", true into 1.0
+            if obj[k] is None or isinstance(obj[k], (bool, list, dict)):
+                raise ValueError(f"{k} must be a string or a number, got {json.dumps(obj[k])}")
         return cls(**{k: t(obj[k]) for k, t in _SEGMENT_TYPES.items()})
 
     def to_dict(self) -> dict:

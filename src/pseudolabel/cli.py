@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .audio_io import AudioClip, ManifestError, read_wav, parse_segments
+from .audio_io import ManifestError, WavFormatError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
 from .losses import iam_target, mca_loss
-from .pipeline import PipelineConfig, run_tls, write_results
+from .pipeline import PipelineConfig, read_pair, run_tls, write_results
 from .snr_filter import estimate_snr
 from .synth import simulate_corpus
 from .time_align import gcc_phat
@@ -33,7 +33,6 @@ from .time_align import gcc_phat
 _RUN_KEYS = {
     "out": (PipelineConfig, "output_dir"),
     "workers": (PipelineConfig, "worker_count"),
-    "sample_rate": (StftConfig, "sample_rate"),
     "n_fft": (StftConfig, "n_fft"),
     "hop": (StftConfig, "hop"),
     "window": (StftConfig, "window_kind"),
@@ -64,8 +63,7 @@ class ConfigError(ValueError):
 
 
 class _BadPair(Exception):
-    """Two WAVs given to one subcommand cannot be compared, such as for
-    differing sample rates or lengths (exit 1)."""
+    """Two WAVs a subcommand cannot compare: rates, lengths or a non-finite sample (exit 1)."""
 
 
 def parse_config_file(path) -> dict:
@@ -98,12 +96,14 @@ def _defaults(func) -> dict:
     return {name: p.default for name, p in inspect.signature(func).parameters.items()}
 
 
-def _read_pair(path_a, path_b) -> tuple[AudioClip, AudioClip]:
-    """The two WAVs of ``snr``, ``align`` or ``iam``, whose rates must agree."""
-    a, b = read_wav(path_a), read_wav(path_b)
-    if a.sample_rate != b.sample_rate:
-        raise _BadPair("sample rates differ")
-    return a, b
+def _read_pair(path_a, path_b) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`read_pair`; a fault other than an unreadable WAV (exit 2) is a bad pair."""
+    try:
+        return read_pair(path_a, path_b)
+    except WavFormatError:
+        raise
+    except ValueError as exc:
+        raise _BadPair(exc) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,9 +208,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_snr(args) -> int:
-    estimate, reference = _read_pair(args.estimate, args.reference)
+    estimate, reference, _ = _read_pair(args.estimate, args.reference)
     try:
-        snr_db = estimate_snr(estimate.channels[0], reference.channels[0])
+        snr_db = estimate_snr(estimate, reference)
     except ValueError as exc:
         raise _BadPair(exc) from exc
     print(f"{snr_db:.6g}")
@@ -219,10 +219,10 @@ def _cmd_snr(args) -> int:
 
 def _cmd_align(args) -> int:
     PipelineConfig(max_lag_s=args.max_lag_s)  # run's rule for max_lag_s, before either read
-    close, reference = _read_pair(args.close, args.reference)
-    max_lag = int(round(args.max_lag_s * close.sample_rate))
-    result = gcc_phat(close.channels[0], reference.channels[0], max_lag=max_lag, refine=True)
-    offset_s = result.offset_samples / close.sample_rate
+    close, reference, rate = _read_pair(args.close, args.reference)
+    max_lag = int(round(args.max_lag_s * rate))
+    result = gcc_phat(close, reference, max_lag=max_lag, refine=True)
+    offset_s = result.offset_samples / rate
     refined = "" if result.refined_offset is None else f" refined_offset={result.refined_offset:.3f}"
     print(f"offset_samples={result.offset_samples} offset_s={offset_s:.6f} "
           f"peak_value={result.peak_value:.6g} peak_ratio={result.peak_ratio:.6g}{refined}")
@@ -239,11 +239,10 @@ def _cmd_mca(args) -> int:
 
 
 def _cmd_iam(args) -> int:
-    clean, mixture = _read_pair(args.clean, args.mixture)
-    cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window,
-                     sample_rate=clean.sample_rate)
-    mag_clean = np.abs(stft(clean.channels[0], cfg).data)
-    mag_mix = np.abs(stft(mixture.channels[0], cfg).data)
+    clean, mixture, _ = _read_pair(args.clean, args.mixture)
+    cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
+    mag_clean = np.abs(stft(clean, cfg).data)
+    mag_mix = np.abs(stft(mixture, cfg).data)
     n = min(len(mag_clean), len(mag_mix))
     mask = iam_target(mag_clean[:n], mag_mix[:n], clip_max=args.clip_max)
     gridio.save_grid(args.out, mask)

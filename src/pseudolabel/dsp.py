@@ -36,20 +36,17 @@ def make_window(kind: str, n_fft: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Transform geometry: FFT size, hop, window family, and sample rate."""
+    """Transform geometry: FFT size, hop and window family."""
 
     n_fft: int = 512
     hop: int = 256
     window_kind: str = "sqrt_hann"
-    sample_rate: int = 16000
 
     def __post_init__(self) -> None:
         if self.n_fft < 16 or (self.n_fft & (self.n_fft - 1)) != 0:
             raise ValueError(f"n_fft must be a power of two >= 16, got {self.n_fft}")
         if self.hop < 1 or self.hop > self.n_fft or self.n_fft % self.hop != 0:
             raise ValueError(f"hop must divide n_fft and satisfy 1 <= hop <= n_fft, got {self.hop}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         win = make_window(self.window_kind, self.n_fft)
         # Invertibility: the overlapped analysis*synthesis product must be
         # strictly positive at every sample phase.

@@ -67,6 +67,20 @@ class PseudoLabelRecord:
 _ROW_FIELDS = [f.name for f in fields(PseudoLabelRecord) if f.name != "segment"]
 
 
+def read_pair(path_a, path_b, start_s=0.0, end_s=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Channel 0 of two WAVs over ``[start_s, end_s)``, and their common rate.
+
+    Raises for, in order: a header (as :func:`read_wav`), the rates, a range, a NaN or inf."""
+    rate_a, rate_b = _sample_rate(path_a), _sample_rate(path_b)
+    if rate_a != rate_b:
+        raise ValueError(f"sample rates differ: {rate_a} Hz in {path_a}, {rate_b} Hz in {path_b}")
+    a, b = (read_wav(path, start_s, end_s).channels[0] for path in (path_a, path_b))
+    for path, x in ((path_a, a), (path_b, b)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite sample in {path}")
+    return a, b, rate_a
+
+
 def _output_name(seg: SegmentRecord) -> str:
     return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{seg.end_s:.3f}.wav"
 
@@ -83,19 +97,10 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
                 raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
         if clash is not None:
             raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
-        # Both headers before either range: a bad file or rate outranks a range fault.
-        rate = config.stft.sample_rate
-        close_rate, far_rate = _sample_rate(seg.close_talk_path), _sample_rate(seg.farfield_path)
-        if close_rate != rate or far_rate != rate:
-            raise ValueError(f"sample rate mismatch: close {close_rate}, far {far_rate}, config {rate}")
         with warnings.catch_warnings():
             # Diarization routinely overshoots media bounds; clamping is normal here.
             warnings.simplefilter("ignore", SegmentClampWarning)
-            s1 = read_wav(seg.close_talk_path, seg.start_s, seg.end_s).channels[0]
-            y = read_wav(seg.farfield_path, seg.start_s, seg.end_s).channels[0]
-        for path, x in ((seg.close_talk_path, s1), (seg.farfield_path, y)):
-            if not np.isfinite(x).all():
-                raise ValueError(f"non-finite sample in {path}")
+            s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
         max_lag = int(round(config.max_lag_s * rate))
         align = gcc_phat(s1, y, max_lag=max_lag)
         shifted = apply_shift(s1, align.offset_samples, y.size)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip, SegmentRecord, write_wav
-from .dsp import StftConfig
+from .snr_filter import estimate_snr
 
 NOISE_KINDS = ("white", "pink")
 
@@ -131,7 +131,7 @@ def speech_like(duration_s: float, sample_rate: int, seed: int) -> np.ndarray:
     return 0.5 * x / np.max(np.abs(x))
 
 
-def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = StftConfig.sample_rate,
+def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000,
                     duration_range: tuple[float, float] = (4.0, 8.0),
                     delay_range: tuple[int, int] = (0, 4000),
                     gain_range: tuple[float, float] = (0.05, 0.5),
@@ -189,10 +189,6 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = StftC
             write_wav(far_path, AudioClip(far, sample_rate), "float32")
             write_wav(direct_path, AudioClip(direct, sample_rate), "float32")
 
-            residual = far - direct
-            gt_snr_db = 10.0 * math.log10(
-                float(np.sum(direct * direct)) / float(np.sum(residual * residual))
-            )
             seg = SegmentRecord(sid, "spk0", 0.0, far.size / sample_rate,
                                 str(close_path), str(far_path))
             mf.write(json.dumps(seg.to_dict()) + "\n")
@@ -202,7 +198,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = StftC
                 "gain": gain,
                 "decay_ms": decay_ms,
                 "noise_snr_db": snr_db,
-                "gt_snr_db": gt_snr_db,
+                "gt_snr_db": estimate_snr(direct, far),
                 "duration_s": duration,
                 "direct_path": str(direct_path),
             }) + "\n")

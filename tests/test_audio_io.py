@@ -36,6 +36,14 @@ def raw_wav_bytes(payload: bytes, fmt_tag: int, n_ch: int, rate: int, bits: int,
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+def with_fmt_size(blob: bytes, size: int) -> bytes:
+    """A :func:`raw_wav_bytes` file with its ``fmt `` chunk cut to its first
+    ``size`` bytes; the chunks after it are kept."""
+    (n,) = struct.unpack_from("<I", blob, 16)
+    body = blob[8:16] + struct.pack("<I", size) + blob[20 : 20 + size] + blob[20 + n :]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 class TestWavRoundTrip:
     def test_zeros_pcm16_one_second(self, tmp_path):
         path = tmp_path / "z.wav"
@@ -138,6 +146,21 @@ class TestWavFixtures:
         with pytest.raises(WavFormatError, match="unsupported"):
             read_wav(path)
 
+    @pytest.mark.parametrize("blob,message", [
+        (with_fmt_size(raw_wav_bytes(b"\0\0", 1, 1, 16000, 16), 14),
+         "missing or truncated fmt chunk"),
+        (with_fmt_size(raw_wav_bytes(b"\0\0", 1, 1, 16000, 16, extensible=True), 24),
+         "truncated extensible fmt chunk"),
+        (raw_wav_bytes(b"", 1, 0, 16000, 16), "malformed fmt chunk"),
+        (raw_wav_bytes(b"\0\0", 1, 1, 0, 16), "malformed fmt chunk"),
+    ], ids=["truncated_fmt", "truncated_extensible_fmt", "zero_channels", "zero_rate"])
+    def test_bad_fmt_chunk_names_the_file(self, tmp_path, blob, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(WavFormatError) as exc:
+            read_wav(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_missing_data_chunk(self, tmp_path):
         fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
         body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -193,6 +216,30 @@ class TestParseSegments:
         with pytest.raises(ManifestError, match="line 2.*finite") as exc:
             parse_segments(path)
         assert exc.value.line_no == 2
+
+    # ``str()`` and ``float()`` would accept each of these: null as "None", true as 1.0.
+    @pytest.mark.parametrize("field,value", [
+        ("session_id", None), ("speaker_id", ["a"]), ("speaker_id", True),
+        ("close_talk_path", None), ("farfield_path", {"path": "f.wav"}),
+        ("start_s", False), ("end_s", True), ("end_s", None),
+    ])
+    def test_wrong_json_type_names_field_and_line(self, tmp_path, field, value):
+        path = tmp_path / "m.jsonl"
+        good = {"session_id": "s", "speaker_id": "a", "start_s": 0, "end_s": 1,
+                "close_talk_path": "c", "farfield_path": "f"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {field: value}) + "\n")
+        with pytest.raises(ManifestError) as exc:
+            parse_segments(path)
+        assert str(exc.value) == \
+               f"line 2: {field} must be a string or a number, got {json.dumps(value)}"
+        assert exc.value.line_no == 2
+
+    def test_numeric_ids_and_string_times_accepted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        row = {"session_id": 7, "speaker_id": 2, "start_s": "0.5", "end_s": "1.25",
+               "close_talk_path": "c", "farfield_path": "f"}
+        path.write_text(json.dumps(row) + "\n")
+        assert parse_segments(path) == [SegmentRecord("7", "2", 0.5, 1.25, "c", "f")]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"

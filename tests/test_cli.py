@@ -12,7 +12,7 @@ import pytest
 
 import pseudolabel
 from pseudolabel import PipelineConfig
-from pseudolabel.audio_io import AudioClip, write_wav
+from pseudolabel.audio_io import AudioClip, read_wav, write_wav
 from pseudolabel.cli import build_parser, main, parse_config_file
 from pseudolabel.dsp import StftConfig
 from pseudolabel.gridio import load_grid, save_grid
@@ -55,7 +55,22 @@ def test_two_wav_commands_reject_differing_rates(tmp_path, capsys, command):
     extra = ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
     assert main([command, a, b] + extra) == 1
     captured = capsys.readouterr()
-    assert captured.err.strip() == f"{command}: sample rates differ"
+    assert captured.err.strip() == \
+           f"{command}: sample rates differ: 16000 Hz in {a}, 8000 Hz in {b}"
+    assert captured.out == ""
+    assert not (tmp_path / "mask.grid").exists()
+
+
+@pytest.mark.parametrize("command", ["snr", "align", "iam"])
+def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
+    x = speech_like(0.5, 16000, 0)
+    a = wav_of(tmp_path, "a.wav", x)
+    x[x.size // 2] = np.nan
+    b = wav_of(tmp_path, "b_nan.wav", x)
+    extra = ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
+    assert main([command, a, b] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"{command}: non-finite sample in {b}"
     assert captured.out == ""
     assert not (tmp_path / "mask.grid").exists()
 
@@ -163,6 +178,25 @@ class TestSimulateAndRun:
         summary = capsys.readouterr().out
         assert "3 segments" in summary
 
+    def test_rate_comes_from_the_files(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--out", str(corpus), "--count", "3", "--seed", "11",
+                     "--sample-rate", "8000", "--min-duration-s", "1.0",
+                     "--max-duration-s", "1.5"]) == 0
+        manifest = str(corpus / "manifest.jsonl")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--manifest", manifest, "--out", str(out_dir)]) == 0
+        results = [json.loads(l) for l in (out_dir / "results.jsonl").read_text().splitlines()]
+        truth = [json.loads(l) for l in (corpus / "truth.jsonl").read_text().splitlines()]
+        assert len(results) == 3
+        for row, t in zip(results, truth):
+            assert row["status"] == "ok" and row["kept"] is True
+            assert row["offset_samples"] == -t["delay"]
+            assert read_wav(row["output_path"]).sample_rate == 8000
+        # the rate is no setting of run's
+        assert main(["run", "--manifest", manifest, "--out", str(out_dir),
+                     "--sample-rate", "8000"]) == 2
+
     def test_negative_count_is_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["simulate", "--out", str(corpus), "--count", "-3"]) == 2
@@ -258,6 +292,15 @@ class TestConfigFile:
         cfg.write_text("not a key value line\n")
         assert main(["run", "--config", str(cfg), "--manifest", "m", "--out", "o"]) == 2
 
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("# pipeline settings\nworkers = two\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--manifest", "m", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"pseudolabel run: {cfg}:2: bad value for workers: ")
+        assert not out_dir.exists()
+
 
 @pytest.fixture
 def run_configs(tmp_path, monkeypatch):
@@ -279,7 +322,7 @@ def run_configs(tmp_path, monkeypatch):
 
 # One non-default value per public ``run`` key.
 _NON_DEFAULTS = {
-    "out": "elsewhere", "workers": "2", "sample_rate": "8000", "n_fft": "1024", "hop": "128",
+    "out": "elsewhere", "workers": "2", "n_fft": "1024", "hop": "128",
     "window": "hann", "taps": "3", "xi": "0.02", "diag_load": "1e-05", "max_lag_s": "0.25",
     "snr_threshold_db": "-5.0",
 }
@@ -366,4 +409,3 @@ class TestFlagDefaults:
     def test_library_defaults_read_their_owners(self):
         assert _signature_defaults(mca_grad)["alpha"] == _signature_defaults(mca_loss)["alpha"]
         assert _signature_defaults(solve_mflf)["diag_load"] == MflfConfig().diag_load
-        assert _signature_defaults(simulate_corpus)["sample_rate"] == StftConfig().sample_rate

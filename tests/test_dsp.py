@@ -109,7 +109,7 @@ class TestStft:
     def test_sine_bin_argmax_and_dft_oracle(self):
         cfg = StftConfig()
         n = 16000
-        x = np.sin(2 * np.pi * 1000.0 * np.arange(n) / cfg.sample_rate)
+        x = np.sin(2 * np.pi * 1000.0 * np.arange(n) / 16000)
         spec = stft(x, cfg)
         mags = np.abs(spec.data)
         # expected bin: 1000 * 512 / 16000 = 32

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from pseudolabel.gridio import GridFormatError, load_grid, save_grid
+from pseudolabel.gridio import MAGIC, GridFormatError, load_grid, save_grid
 from pseudolabel.losses import iam_target, mca_grad, mca_loss, stack_features
 
 
@@ -194,6 +196,18 @@ class TestGridIO:
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
         with pytest.raises(GridFormatError, match="not a grid"):
             load_grid(path)
+
+    @pytest.mark.parametrize("header,message", [
+        (MAGIC + struct.pack("<HHI", 2, 1, 0), "unsupported version 2"),
+        (MAGIC + struct.pack("<HHI", 1, 2, 0), "unsupported dtype tag 2"),
+        (MAGIC + struct.pack("<HHIQ", 1, 1, 2, 4), "truncated header"),
+    ], ids=["version", "dtype_tag", "truncated_header"])
+    def test_bad_header_names_the_file(self, tmp_path, header, message):
+        path = tmp_path / "e.grid"
+        path.write_bytes(header)
+        with pytest.raises(GridFormatError) as exc:
+            load_grid(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "d.grid"

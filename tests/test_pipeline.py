@@ -74,9 +74,9 @@ class TestRunTls:
 
     def test_rate_mismatch_reported(self, tmp_path):
         seg, _ = write_scenario(tmp_path, "d", seed=6)
-        config = PipelineConfig(stft=__import__("pseudolabel").StftConfig(sample_rate=8000),
-                                output_dir=str(tmp_path / "out"))
-        records = run_tls([seg], config)
+        far = read_wav(seg.farfield_path)
+        write_wav(seg.farfield_path, AudioClip(far.channels[0][::2], 8000), "float32")
+        records = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
         assert records[0].status.startswith("error:")
         assert "rate" in records[0].status
 
@@ -153,9 +153,10 @@ class TestRunTls:
 
     # Each row has two faults; the status names the one checked first. The order
     # is: ids, name clash, close header, far header, rate, close range, far range,
-    # finiteness.
+    # finiteness. ``rate`` is the far-field file's.
     @pytest.mark.parametrize("close,far,rate,start,expected", [
-        ("1s", "1s", 8000, 2.0, "error: sample rate mismatch: close 16000, far 16000, config 8000"),
+        ("1s", "1s", 8000, 2.0,
+         "error: sample rates differ: 16000 Hz in {close}, 8000 Hz in {far}"),
         ("1s", "junk", 16000, 2.0, "error: {far}: not a RIFF/WAVE file"),
         ("junk", "missing", 16000, 0.0, "error: {close}: not a RIFF/WAVE file"),
         ("1s", "2s", 16000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
@@ -170,14 +171,13 @@ class TestRunTls:
             if spec == "junk":
                 path.write_bytes(b"not a wav file")
             elif spec != "missing":
-                x = np.full(int(spec[0]) * 16000, 0.1)
+                file_rate = rate if role == "far" else 16000
+                x = np.full(int(spec[0]) * file_rate, 0.1)
                 if spec.endswith("nan"):
-                    x[int(2.25 * 16000)] = np.nan  # inside the segment
-                write_wav(path, AudioClip(x, 16000), "float32")
+                    x[int(2.25 * file_rate)] = np.nan  # inside the segment
+                write_wav(path, AudioClip(x, file_rate), "float32")
         seg = SegmentRecord("s", "a", start, start + 0.5, str(paths["close"]), str(paths["far"]))
-        config = PipelineConfig(stft=__import__("pseudolabel").StftConfig(sample_rate=rate),
-                                output_dir=str(tmp_path / "out"))
-        [rec] = run_tls([seg], config)
+        [rec] = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
         assert rec.status == expected.format(**paths)
         assert not rec.kept and rec.output_path is None
 
