@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import Spectrogram, StftConfig, istft, stft
 
@@ -75,23 +76,22 @@ def stack_frames(spec: Spectrogram, L: int) -> np.ndarray:
     """Stack each frame with its L-1 predecessors: output [t, f, tap].
 
     Tap ``k`` of frame ``t`` is frame ``t - k``; frames before the start
-    are zeros (causal edge padding).
+    are zeros (causal edge padding). The result is a read-only view over
+    one zero-padded copy of the frames, not L copies.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     data = spec.data
-    n_frames, n_bins = data.shape
-    stacked = np.zeros((n_frames, n_bins, L), dtype=np.complex128)
-    for k in range(min(L, n_frames)):
-        stacked[k:, :, k] = data[: n_frames - k]
-    return stacked
+    padded = np.zeros((data.shape[0] + L - 1, data.shape[1]), dtype=np.complex128)
+    padded[L - 1:] = data
+    return sliding_window_view(padded, L, axis=0)[:, :, ::-1]
 
 
 def fcp_weights(Y: Spectrogram, xi: float) -> np.ndarray:
     """Per-cell weights ``xi * max|Y|^2 + |Y(t,f)|^2`` for the filter fit."""
     if xi <= 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    power = np.abs(Y.data) ** 2
+    power = Y.data.real**2 + Y.data.imag**2
     peak = power.max()
     if peak == 0.0:
         raise ValueError("reference spectrogram is identically zero; segment unusable")
@@ -105,7 +105,8 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
     Per bin ``A h = b`` with ``A = sum_t s s^H / lam`` and
     ``b = sum_t s Y* / lam``, after adding ``diag_load * trace(A) / L``
     to the diagonal. Bins that stay singular (all-silent) get a zero
-    filter and are flagged.
+    filter and are flagged. ``A`` is Hermitian, so only its L(L+1)/2
+    distinct tap pairs are reduced over frames; the rest are conjugates.
     """
     n_frames, n_bins, L = stacked.shape
     if Y.data.shape != (n_frames, n_bins) or lam.shape != (n_frames, n_bins):
@@ -114,9 +115,17 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
         raise ValueError("weights must be strictly positive")
 
     w = 1.0 / lam
-    A = np.einsum("tfk,tfl,tf->fkl", stacked, stacked.conj(), w, optimize=True)
-    b = np.einsum("tfk,tf,tf->fk", stacked, Y.data.conj(), w, optimize=True)
-    trace = np.einsum("fkk->f", A).real
+    taps = [stacked[:, :, k] for k in range(L)]
+    weighted = [w * s for s in taps]
+    A = np.empty((n_bins, L, L), dtype=np.complex128)
+    for k in range(L):
+        for l in range(k, L):
+            A[:, k, l] = (weighted[k] * taps[l].conj()).sum(axis=0)
+            A[:, l, k] = A[:, k, l].conj()
+        A[:, k, k] = A[:, k, k].real
+    Y_conj = Y.data.conj()
+    b = np.stack([(ws * Y_conj).sum(axis=0) for ws in weighted], axis=1)
+    trace = np.trace(A, axis1=1, axis2=2).real
     if diag_load > 0:
         A += (diag_load * trace / L)[:, None, None] * np.eye(L)
 
@@ -147,7 +156,11 @@ def apply_mflf(filters: FilterSet, stacked: np.ndarray) -> np.ndarray:
         )
     if stacked.shape[1] != filters.h.shape[0]:
         raise ValueError("stacked tensor bin count does not match filter set")
-    return np.einsum("fk,tfk->tf", filters.h.conj(), stacked)
+    h_conj = filters.h.conj()
+    out = h_conj[:, 0] * stacked[:, :, 0]
+    for k in range(1, filters.L):
+        out += h_conj[:, k] * stacked[:, :, k]
+    return out
 
 
 def level_align(s2, y, stft_cfg: StftConfig, mflf_cfg: MflfConfig) -> np.ndarray:

@@ -33,6 +33,115 @@ def weighted_objective(h, stacked, Y, lam, f):
     return total
 
 
+# The einsum forms of the parent's stack, solve and apply, kept as oracles for
+# the tap-pair reductions; they differ from them only in summation order.
+def zero_filled_stack(spec, L):
+    n_frames, n_bins = spec.data.shape
+    stacked = np.zeros((n_frames, n_bins, L), dtype=np.complex128)
+    for k in range(min(L, n_frames)):
+        stacked[k:, :, k] = spec.data[: n_frames - k]
+    return stacked
+
+
+def einsum_solve(stacked, Y, lam, diag_load):
+    n_frames, n_bins, L = stacked.shape
+    w = 1.0 / lam
+    A = np.einsum("tfk,tfl,tf->fkl", stacked, stacked.conj(), w, optimize=True)
+    b = np.einsum("tfk,tf,tf->fk", stacked, Y.data.conj(), w, optimize=True)
+    trace = np.einsum("fkk->f", A).real
+    if diag_load > 0:
+        A += (diag_load * trace / L)[:, None, None] * np.eye(L)
+    h = np.zeros((n_bins, L), dtype=np.complex128)
+    flags = trace <= 0.0
+    live = ~flags
+    if live.any():
+        try:
+            h[live] = np.linalg.solve(A[live], b[live][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for f in np.nonzero(live)[0]:
+                try:
+                    h[f] = np.linalg.solve(A[f], b[f])
+                except np.linalg.LinAlgError:
+                    flags[f] = True
+    bad = ~np.isfinite(h).all(axis=1)
+    h[bad] = 0.0
+    return h, flags | bad
+
+
+def einsum_apply(h, stacked):
+    return np.einsum("fk,tfk->tf", h.conj(), stacked)
+
+
+def oracle_case(L, n_frames, kind):
+    """Spectrograms for the oracle comparison: ``plain``, ``silent`` (bins
+    with no energy in the predictor) or ``singular`` (a live bin whose only
+    energy is in the last frame, singular without loading when L > 1)."""
+    spec = random_spec(n_frames, 100 + L)
+    rng = np.random.default_rng(200 + L)
+    Y = Spectrogram(0.4 * spec.data + 0.3 * (rng.standard_normal(spec.data.shape)
+                    + 1j * rng.standard_normal(spec.data.shape)), CFG)
+    if kind == "silent":
+        spec.data[:, :20] = 0.0
+        spec.data[:, -5:] = 0.0
+    elif kind == "singular":
+        spec.data[:, 7] = 0.0
+        spec.data[-1, 7] = 1.0 + 2.0j
+    return spec, Y
+
+
+class TestOracles:
+    # T < L as 1 or 2 frames: with more frames short of L, A is rank-deficient
+    # but for the loading, and rounding moves h by up to cond(A) * eps ~ 5e-10.
+    CASES = [(L, n_frames, kind, diag_load)
+             for L in (1, 2, 3, 5)
+             for n_frames, kind, diag_load in ((40, "plain", 1e-6), (40, "plain", 0.0),
+                                               (min(2, max(L - 1, 1)), "plain", 1e-6),
+                                               (30, "silent", 1e-6), (30, "singular", 0.0))]
+
+    @pytest.mark.parametrize("L, n_frames, kind, diag_load", CASES)
+    def test_solve_and_apply_match_einsum(self, L, n_frames, kind, diag_load):
+        spec, Y = oracle_case(L, n_frames, kind)
+        lam = fcp_weights(Y, 1e-2)
+        stacked = stack_frames(spec, L)
+        fs = solve_mflf(stacked, Y, lam, diag_load)
+        h_ref, flags_ref = einsum_solve(zero_filled_stack(spec, L), Y, lam, diag_load)
+        assert np.array_equal(fs.flags, flags_ref)
+        scale = np.abs(h_ref).max()
+        np.testing.assert_allclose(fs.h, h_ref, rtol=1e-12, atol=1e-12 * scale)
+        out, out_ref = apply_mflf(fs, stacked), einsum_apply(fs.h, zero_filled_stack(spec, L))
+        np.testing.assert_allclose(out, out_ref, rtol=1e-12, atol=1e-12 * np.abs(out_ref).max())
+        if kind == "silent":
+            assert fs.flags[:20].all() and fs.flags[-5:].all() and not fs.flags[20:-5].any()
+        if kind == "singular" and L > 1:
+            assert np.flatnonzero(fs.flags).tolist() == [7]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_normal_matrix_is_exactly_hermitian(self, L, monkeypatch):
+        spec, Y = oracle_case(L, 40, "plain")
+        seen = []
+        real_solve = np.linalg.solve
+
+        def spy(A, b):
+            seen.append(A.copy())
+            return real_solve(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        solve_mflf(stack_frames(spec, L), Y, fcp_weights(Y, 1e-2), 1e-6)
+        [A] = seen
+        assert np.all(np.diagonal(A, axis1=1, axis2=2).imag == 0)
+        assert np.array_equal(A, A.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("L, n_frames", [(1, 6), (2, 6), (3, 6), (5, 6), (2, 1), (5, 3)])
+    def test_stack_is_the_zero_filled_tensor_read_only(self, L, n_frames):
+        spec = random_spec(n_frames, 30 + L)
+        stacked = stack_frames(spec, L)
+        assert np.array_equal(stacked, zero_filled_stack(spec, L))
+        assert stacked.shape == (n_frames, CFG.n_bins, L)
+        assert not stacked.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stacked[0, 0, 0] = 1.0
+
+
 class TestStackFrames:
     def test_single_tap_is_identity(self):
         spec = random_spec(10, 0)
