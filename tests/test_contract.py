@@ -1,0 +1,132 @@
+"""The output contract: `run_tls` on a fixed corpus gives the committed rows.
+
+The corpus is rebuilt on every run from `simulate_corpus` and a
+hand-written session manifest whose rows each hit one documented rule: a
+clamped end, a start past the end, a colliding output name, a NaN sample
+and differing sample rates. The expected rows (without `processed_at`)
+and the length and sum of squares of each kept WAV are committed under
+`tests/data/contract/`; no audio is. `tests/data/contract/regenerate.py`
+rewrites them, and a change that runs it means to change outputs.
+
+Offsets, keep decisions, statuses and output paths must match exactly.
+`snr_db` may differ by 1e-9 dB and a kept WAV's energy by 1e-12
+relative, which leaves room for numpy's FFT to round differently across
+versions, but for no decision to change.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pseudolabel import AudioClip, PipelineConfig, parse_segments, read_wav, run_tls, write_wav
+from pseudolabel.pipeline import record_to_dict
+from pseudolabel.synth import simulate_corpus
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "contract"
+SNR_TOL_DB = 1e-9
+ENERGY_RTOL = 1e-12
+
+
+def build_corpus(root: Path) -> list:
+    """Write the contract corpus under ``root`` and return its manifest."""
+    manifest_path, _ = simulate_corpus(root / "sim", count=8, seed=11, duration_range=(0.5, 4.0),
+                                       snr_range_db=(-15.0, 20.0))
+    manifest = parse_segments(manifest_path)
+    first, second = manifest[6], manifest[7]  # the session rows cut a kept pair, s006
+    far = read_wav(first.farfield_path)
+    rate, duration = far.sample_rate, far.n_samples / far.sample_rate
+    nan_far = far.channels[0].copy()
+    nan_far[nan_far.size // 2] = np.nan
+    write_wav(root / "nan_far.wav", AudioClip(nan_far, rate), "float32")
+    close = read_wav(first.close_talk_path).channels[0]
+    write_wav(root / "close_8k.wav", AudioClip(close[::2], rate // 2), "float32")
+
+    def row(speaker, start, end, close=first.close_talk_path, far=first.farfield_path):
+        return {"session_id": "sess", "speaker_id": speaker, "start_s": start, "end_s": end,
+                "close_talk_path": close, "farfield_path": far}
+
+    session = [
+        row("mid", 0.1 * duration, 0.6 * duration),
+        row("clamped", 0.25, duration + 1.5),
+        row("late", duration + 0.5, duration + 1.0),
+        row("clamped", 0.25, duration + 1.5, second.close_talk_path, second.farfield_path),
+        row("nan", 0.1, 0.9 * duration, far=str(root / "nan_far.wav")),
+        row("rate", 0.1, 0.9 * duration, close=str(root / "close_8k.wav")),
+    ]
+    session_path = root / "session.jsonl"
+    session_path.write_text("".join(json.dumps(r) + "\n" for r in session), encoding="utf-8")
+    return manifest + parse_segments(session_path)
+
+
+def run_outputs(root: Path, workers: int) -> tuple[list[dict], list[dict]]:
+    """Build the corpus under ``root / "corpus"``, run it with ``workers``
+    processes, and return its rows and kept WAVs in the fixture's form:
+    rows without ``processed_at``, and the corpus and output directories
+    written as ``<corpus>`` and ``<out>`` in every string."""
+    corpus, out = root / "corpus", root / f"out_w{workers}"
+    records = run_tls(build_corpus(corpus), PipelineConfig(output_dir=str(out),
+                                                           worker_count=workers))
+
+    def portable(value):
+        if not isinstance(value, str):
+            return value
+        return value.replace(str(out), "<out>").replace(str(corpus), "<corpus>")
+
+    rows, wavs = [], []
+    for rec in records:
+        row = {key: portable(value) for key, value in record_to_dict(rec).items()}
+        del row["processed_at"]
+        rows.append(row)
+        if rec.output_path is not None:
+            samples = read_wav(rec.output_path).samples
+            wavs.append({"output_path": row["output_path"], "n_samples": samples.shape[1],
+                         "energy": float(np.sum(samples * samples))})
+    return rows, wavs
+
+
+def load_fixture() -> tuple[list[dict], list[dict]]:
+    return tuple([json.loads(line) for line in (FIXTURE / name).read_text().splitlines()]
+                 for name in ("rows.jsonl", "kept_wavs.jsonl"))
+
+
+def _snr_close(got, want) -> bool:
+    if isinstance(got, (int, float)) and isinstance(want, (int, float)):
+        return math.isfinite(got) and abs(got - want) <= SNR_TOL_DB
+    return got == want  # null, or an "inf"/"-inf" sentinel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_and_kept_wavs_match_the_fixture(tmp_path, workers):
+    rows, wavs = run_outputs(tmp_path, workers)
+    want_rows, want_wavs = load_fixture()
+    assert len(rows) == len(want_rows)
+    for i, (got, want) in enumerate(zip(rows, want_rows)):
+        assert got.keys() == want.keys(), i
+        assert {k: v for k, v in got.items() if k != "snr_db"} == \
+               {k: v for k, v in want.items() if k != "snr_db"}, i
+        assert _snr_close(got["snr_db"], want["snr_db"]), (i, got["snr_db"], want["snr_db"])
+    assert [w["output_path"] for w in wavs] == [w["output_path"] for w in want_wavs]
+    for got, want in zip(wavs, want_wavs):
+        assert got["n_samples"] == want["n_samples"], got["output_path"]
+        assert abs(got["energy"] - want["energy"]) <= ENERGY_RTOL * want["energy"], \
+            (got["output_path"], got["energy"], want["energy"])
+
+
+def test_fixture_covers_every_outcome():
+    rows, wavs = load_fixture()
+    statuses = [row["status"] for row in rows]
+    assert any(row["kept"] for row in rows) and len(wavs) == sum(row["kept"] for row in rows)
+    assert any(not row["kept"] and status == "ok" for row, status in zip(rows, statuses))
+    for needle in ("beyond the clip end", "collides with row", "non-finite sample",
+                   "sample rates differ"):
+        assert sum(needle in status for status in statuses) == 1, needle
+    clamped = [row for row in rows if row["speaker_id"] == "clamped" and row["status"] == "ok"]
+    assert len(clamped) == 1 and clamped[0]["kept"]
+    (n_samples,) = [w["n_samples"] for w in wavs if w["output_path"] == clamped[0]["output_path"]]
+    rate = 16000  # simulate_corpus's default
+    assert n_samples < round(clamped[0]["end_s"] * rate) - round(clamped[0]["start_s"] * rate)
