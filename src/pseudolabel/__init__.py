@@ -9,7 +9,6 @@ resulting pairs.
 from .audio_io import (
     AudioClip,
     ManifestError,
-    SegmentClampWarning,
     SegmentRecord,
     WavFormatError,
     cut_segment,
@@ -58,7 +57,6 @@ __all__ = [
     "MflfConfig",
     "PipelineConfig",
     "PseudoLabelRecord",
-    "SegmentClampWarning",
     "SegmentRecord",
     "Spectrogram",
     "StftConfig",

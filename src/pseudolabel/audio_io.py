@@ -6,7 +6,6 @@ import json
 import math
 import os
 import struct
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -26,10 +25,6 @@ class ManifestError(ValueError):
     def __init__(self, message: str, line_no: int | None = None):
         super().__init__(message)
         self.line_no = line_no
-
-
-class SegmentClampWarning(UserWarning):
-    """A segment end overshot the file duration and was clamped."""
 
 
 @dataclass
@@ -163,12 +158,7 @@ def _frame_range(n_frames: int, rate: int, start_s: float, end_s: float | None) 
     i0 = round(start_s * rate)
     if i0 >= n_frames:
         raise ValueError(f"segment start {start_s}s is beyond the clip end ({n_frames / rate:.3f}s)")
-    i1 = n_frames if end_s is None else round(end_s * rate)
-    if i1 > n_frames:
-        warnings.warn(f"segment end {end_s}s clamped to clip end ({n_frames / rate:.3f}s)",
-                      SegmentClampWarning, stacklevel=3)
-        i1 = n_frames
-    return i0, i1
+    return i0, n_frames if end_s is None else min(round(end_s * rate), n_frames)
 
 
 def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioClip:
@@ -254,8 +244,9 @@ def parse_segments(path) -> list[SegmentRecord]:
 def cut_segment(clip: AudioClip, start_s: float, end_s: float) -> AudioClip:
     """Sample-exact slice [round(start*rate), round(end*rate)).
 
-    Ends past the clip are clamped (with a :class:`SegmentClampWarning`);
-    a start at or past the clip end is an error.
+    An end past the clip is clamped to it, so a clamped cut is shorter than
+    ``round(end*rate) - round(start*rate)``; a start at or past the clip end
+    is an error.
     """
     i0, i1 = _frame_range(clip.n_samples, clip.sample_rate, start_s, end_s)
     return AudioClip(clip.samples[:, i0:i1].copy(), clip.sample_rate)

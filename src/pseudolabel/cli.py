@@ -221,7 +221,7 @@ def _cmd_align(args) -> int:
     PipelineConfig(max_lag_s=args.max_lag_s)  # run's rule for max_lag_s, before either read
     close, reference, rate = _read_pair(args.close, args.reference)
     max_lag = int(round(args.max_lag_s * rate))
-    result = gcc_phat(close, reference, max_lag=max_lag, refine=True)
+    result = gcc_phat(close, reference, max_lag=max_lag)
     offset_s = result.offset_samples / rate
     refined = "" if result.refined_offset is None else f" refined_offset={result.refined_offset:.3f}"
     print(f"offset_samples={result.offset_samples} offset_s={offset_s:.6f} "

@@ -12,7 +12,6 @@ import datetime
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -21,8 +20,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .audio_io import (AudioClip, SegmentClampWarning, SegmentRecord, _read_jsonl, _sample_rate,
-                       read_wav, write_wav)
+from .audio_io import AudioClip, SegmentRecord, _read_jsonl, _sample_rate, read_wav, write_wav
 from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
@@ -142,10 +140,7 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
                 raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
         if clash is not None:
             raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
-        with warnings.catch_warnings():
-            # Diarization routinely overshoots media bounds; clamping is normal here.
-            warnings.simplefilter("ignore", SegmentClampWarning)
-            s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
+        s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
         max_lag = int(round(config.max_lag_s * rate))
         align = gcc_phat(s1, y, max_lag=max_lag)
         shifted = apply_shift(s1, align.offset_samples, y.size)

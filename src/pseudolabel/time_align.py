@@ -21,7 +21,7 @@ class AlignmentResult:
     offset_samples: int
     peak_value: float
     peak_ratio: float
-    refined_offset: float | None = None
+    refined_offset: float | None  # parabolic peak estimate; None at a window edge
 
 
 def _fft_len(n: int) -> int:
@@ -40,14 +40,14 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def gcc_phat(s1, y, max_lag: int, refine: bool = False) -> AlignmentResult:
+def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     """Phase-transform cross-correlation peak over lags in [-max_lag, max_lag].
 
     The cross spectrum is whitened by its own magnitude (floored at
     1e-12 times the largest cross-spectral magnitude), which makes the
     estimate insensitive to spectral coloration and overall scale.
-    ``refine=True`` adds a parabolic-interpolation peak estimate for
-    diagnostics; the returned integer offset is unaffected.
+    ``refined_offset`` is a parabolic-interpolation peak estimate for
+    diagnostics; the integer offset does not use it.
 
     The FFT length is the smallest 5-smooth ``n`` of at least
     ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
@@ -88,7 +88,7 @@ def gcc_phat(s1, y, max_lag: int, refine: bool = False) -> AlignmentResult:
         ratio = math.inf
 
     refined = None
-    if refine and 0 < idx < window.size - 1:
+    if 0 < idx < window.size - 1:
         left, mid, right = window[idx - 1], window[idx], window[idx + 1]
         denom = left - 2.0 * mid + right
         if denom != 0.0:

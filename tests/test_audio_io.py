@@ -10,7 +10,6 @@ import pytest
 from pseudolabel.audio_io import (
     AudioClip,
     ManifestError,
-    SegmentClampWarning,
     SegmentRecord,
     WavFormatError,
     cut_segment,
@@ -265,11 +264,11 @@ class TestCutSegment:
         assert out.n_samples == 16000
         np.testing.assert_array_equal(out.samples[0], clip.samples[0, 16000:32000])
 
-    def test_overshoot_clamps_with_warning(self):
+    def test_overshoot_clamps_to_the_clip_end(self):
         clip = self.make_clip()
-        with pytest.warns(SegmentClampWarning):
-            out = cut_segment(clip, 9.5, 11.0)
-        assert out.n_samples == 8000
+        out = cut_segment(clip, 9.5, 11.0)
+        assert out.n_samples == 8000 < round(11.0 * 16000) - round(9.5 * 16000)
+        np.testing.assert_array_equal(out.samples, clip.samples[:, 152000:])
 
     def test_start_beyond_end_raises(self):
         clip = self.make_clip()
@@ -308,7 +307,8 @@ class TestSegmentRecord:
 
 
 def _outcome(fn):
-    """The clip or the raised error, and every warning, as comparable values."""
+    """The clip or the raised error, and every warning, as comparable values;
+    a clamp shows only in the clip's length, so the list should stay empty."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -368,7 +368,10 @@ class TestRangedRead:
         for a, b in pairs:
             ranged = _outcome(lambda: read_wav(path, a, b))
             assert ranged == _outcome(lambda: cut_segment(whole, a, b)), (a, b)
-            outcomes.add("clamped" if ranged[1] else ranged[0][0])
+            result, caught = ranged
+            assert caught == [], (a, b)
+            clamped = result[0] == "ok" and result[1][1] < round(b * rate) - round(a * rate)
+            outcomes.add("clamped" if clamped else result[0])
         assert outcomes == {"ok", "clamped", "error"}
         # no end: from the start to the end of the file
         np.testing.assert_array_equal(read_wav(path, 0.1).samples, whole.samples[:, 800:])

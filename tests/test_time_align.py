@@ -91,9 +91,15 @@ class TestGccPhat:
 
     def test_refined_offset_near_integer(self):
         s1, y = delayed_pair(delay=160, seed=6)
-        res = gcc_phat(s1, y, max_lag=400, refine=True)
+        res = gcc_phat(s1, y, max_lag=400)
         assert res.refined_offset is not None
         assert abs(res.refined_offset - res.offset_samples) < 0.5
+
+    @pytest.mark.parametrize("max_lag", [0, 160])
+    def test_refined_offset_is_none_at_a_window_edge(self, max_lag):
+        s1, y = delayed_pair(delay=160, seed=6)
+        res = gcc_phat(s1, y, max_lag=max_lag)
+        assert res.offset_samples == -max_lag and res.refined_offset is None
 
     def test_peak_ratio_at_least_one(self):
         for seed in range(5):
