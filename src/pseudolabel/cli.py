@@ -6,12 +6,14 @@ Subcommands: ``run`` (batch pipeline), ``simulate`` (synthetic corpus),
 generation). ``run`` also accepts a ``key=value`` config file; explicit
 flags override file values.
 
-Exit codes: 0 success, 1 batch-level failure, 2 usage/config error.
+Exit codes: 0 success; 1 a fault in an input file (missing, unreadable, or
+two files that cannot be compared); 2 a fault in a flag or the config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-from .audio_io import ManifestError, WavFormatError, parse_segments
+from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
 from .losses import iam_target, mca_loss
@@ -62,8 +64,17 @@ class ConfigError(ValueError):
     pass
 
 
-class _BadPair(Exception):
-    """Two WAVs a subcommand cannot compare: rates, lengths or a non-finite sample (exit 1)."""
+class _BadInput(Exception):
+    """A fault in a command's input files: unreadable, or impossible to compare (exit 1)."""
+
+
+@contextlib.contextmanager
+def _input_faults():
+    """Report a ``ValueError`` raised inside as a fault in the input files."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _BadInput(exc) from exc
 
 
 def parse_config_file(path) -> dict:
@@ -94,16 +105,6 @@ def _add_field_flag(parser, key: str, **kwargs) -> None:
 def _defaults(func) -> dict:
     """``func``'s parameter defaults; a flag that feeds a parameter defaults to it."""
     return {name: p.default for name, p in inspect.signature(func).parameters.items()}
-
-
-def _read_pair(path_a, path_b) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`read_pair`; a fault other than an unreadable WAV (exit 2) is a bad pair."""
-    try:
-        return read_pair(path_a, path_b)
-    except WavFormatError:
-        raise
-    except ValueError as exc:
-        raise _BadPair(exc) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,20 +209,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_snr(args) -> int:
-    estimate, reference, _ = _read_pair(args.estimate, args.reference)
-    try:
+    with _input_faults():
+        estimate, reference, _ = read_pair(args.estimate, args.reference)
         snr_db = estimate_snr(estimate, reference)
-    except ValueError as exc:
-        raise _BadPair(exc) from exc
     print(f"{snr_db:.6g}")
     return 0
 
 
 def _cmd_align(args) -> int:
     PipelineConfig(max_lag_s=args.max_lag_s)  # run's rule for max_lag_s, before either read
-    close, reference, rate = _read_pair(args.close, args.reference)
-    max_lag = int(round(args.max_lag_s * rate))
-    result = gcc_phat(close, reference, max_lag=max_lag)
+    with _input_faults():
+        close, reference, rate = read_pair(args.close, args.reference)
+        result = gcc_phat(close, reference, max_lag=int(round(args.max_lag_s * rate)))
     offset_s = result.offset_samples / rate
     refined = "" if result.refined_offset is None else f" refined_offset={result.refined_offset:.3f}"
     print(f"offset_samples={result.offset_samples} offset_s={offset_s:.6f} "
@@ -230,19 +229,20 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_mca(args) -> int:
-    target = gridio.load_grid(args.target)
-    estimate = gridio.load_grid(args.estimate)
-    report = mca_loss(target, estimate, alpha=args.alpha)
+    with _input_faults():
+        report = mca_loss(gridio.load_grid(args.target), gridio.load_grid(args.estimate),
+                          alpha=args.alpha)
     print(f"mse={report.mse:.12g} cossim={report.cossim_loss:.12g} "
           f"mca={report.mca:.12g} alpha={report.alpha:g}")
     return 0
 
 
 def _cmd_iam(args) -> int:
-    clean, mixture, _ = _read_pair(args.clean, args.mixture)
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
-    mag_clean = np.abs(stft(clean, cfg).data)
-    mag_mix = np.abs(stft(mixture, cfg).data)
+    with _input_faults():
+        clean, mixture, _ = read_pair(args.clean, args.mixture)
+        mag_clean = np.abs(stft(clean, cfg).data)
+        mag_mix = np.abs(stft(mixture, cfg).data)
     n = min(len(mag_clean), len(mag_mix))
     mask = iam_target(mag_clean[:n], mag_mix[:n], clip_max=args.clip_max)
     gridio.save_grid(args.out, mask)
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _BadPair as exc:
+    except _BadInput as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError) as exc:

@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import math
+import struct
 import warnings
 from pathlib import Path
 
@@ -75,6 +76,57 @@ def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
     assert not (tmp_path / "mask.grid").exists()
 
 
+def empty_wav_of(tmp_path, name) -> str:
+    """A float32 WAV with an empty ``data`` chunk, which ``write_wav`` refuses to write."""
+    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 0)
+    path = tmp_path / name
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return str(path)
+
+
+# A fault in an input file exits 1: missing, undecodable, or two files the
+# command cannot compare. A fault in a flag exits 2.
+_EXIT_RULE = {"missing": 1, "undecodable": 1, "incomparable": 1, "bad_flag": 2}
+
+
+@pytest.mark.parametrize("fault", list(_EXIT_RULE))
+@pytest.mark.parametrize("command", ["snr", "align", "iam", "mca"])
+def test_exit_code_rule(tmp_path, capsys, command, fault):
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"neither a WAV nor a grid")
+    if command == "mca":
+        good = tmp_path / "good.grid"
+        save_grid(good, np.ones((2, 2)))
+        incomparable = tmp_path / "3x2.grid"  # another shape
+        save_grid(incomparable, np.ones((3, 2)))
+        bad_flag = ["--alpha", "x"]
+    else:
+        good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
+        incomparable = (empty_wav_of(tmp_path, "empty.wav") if command == "iam"
+                        else wav_of(tmp_path, "silent.wav", np.zeros(8000)))
+        bad_flag = {"snr": ["--bogus"], "align": ["--max-lag-s", "0"],
+                    "iam": ["--n-fft", "100"]}[command]
+    second = {"missing": tmp_path / "missing", "undecodable": junk,
+              "incomparable": incomparable, "bad_flag": good}[fault]
+    argv = [command, str(good), str(second)]
+    argv += ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
+    argv += bad_flag if fault == "bad_flag" else []
+    assert main(argv) == _EXIT_RULE[fault]
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+    assert not (tmp_path / "mask.grid").exists()
+
+
+def test_align_and_snr_agree_on_a_silent_reference(tmp_path, capsys):
+    good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
+    silent = wav_of(tmp_path, "silent.wav", np.zeros(8000))
+    assert main(["snr", good, silent]) == main(["align", good, silent]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "snr: reference signal has zero energy",
+        "align: gcc_phat requires both signals to have nonzero energy"]
+
+
 class TestSnrCommand:
     def test_identical_files_print_inf(self, tmp_path, capsys):
         x = speech_like(0.5, 16000, 0)
@@ -139,12 +191,13 @@ class TestMcaCommand:
         assert "mse=1" in out
         assert "cossim=0" in out
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
+    def test_bad_grid_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.grid"
         bad.write_bytes(b"nope")
         good = tmp_path / "good.grid"
         save_grid(good, np.ones((2, 2)))
-        assert main(["mca", str(bad), str(good)]) == 2
+        assert main(["mca", str(bad), str(good)]) == 1
+        assert capsys.readouterr().err.strip() == f"mca: {bad}: not a grid file"
 
 
 class TestIamCommand:
