@@ -177,7 +177,8 @@ def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioCli
     if h.width == 3:  # widen each PCM24 sample into the top three bytes of an int32
         raw = np.pad(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3), ((0, 0), (1, 0)))
     frames = np.frombuffer(raw, dtype=h.dtype).reshape(-1, h.n_channels).T
-    return AudioClip(np.divide(frames, h.scale, dtype=np.float64, order="C"), h.rate)
+    with np.errstate(invalid="ignore"):  # a signalling NaN in a float file reads as a NaN
+        return AudioClip(np.divide(frames, h.scale, dtype=np.float64, order="C"), h.rate)
 
 
 def _encode(samples: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
@@ -215,20 +216,24 @@ def _read_jsonl(path, parse) -> list:
     Raises :class:`ManifestError` naming the first bad line.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which fails its line below.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
+                text.encode("utf-8")
                 obj = json.loads(text)
+            except UnicodeEncodeError as exc:
+                raise ManifestError(f"line {line_no}: not UTF-8 text", line_no) from exc
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"line {line_no}: invalid JSON ({exc.msg})", line_no) from exc
             if not isinstance(obj, dict):
                 raise ManifestError(f"line {line_no}: expected a JSON object", line_no)
             try:
                 rows.append(parse(obj))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer
                 raise ManifestError(f"line {line_no}: {exc}", line_no) from exc
     return rows
 

@@ -271,6 +271,13 @@ class TestSimulateAndRun:
         assert "bad manifest: line 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_undecodable_manifest_is_bad_manifest(self, tmp_path, capsys):
+        (tmp_path / "m.jsonl").write_bytes(b'{"session_id": "Zo\xc3\n')  # a torn character
+        out_dir = tmp_path / "o"
+        assert main(["run", "--manifest", str(tmp_path / "m.jsonl"), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.strip() == "run: bad manifest: line 1: not UTF-8 text"
+        assert not out_dir.exists()
+
     def test_missing_required_flags(self, tmp_path):
         assert main(["run"]) == 2
 
