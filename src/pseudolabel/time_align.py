@@ -21,7 +21,7 @@ class AlignmentResult:
     offset_samples: int
     peak_value: float
     peak_ratio: float
-    refined_offset: float | None  # parabolic peak estimate; None at a window edge
+    refined_offset: float | None = None
 
 
 def _fft_len(n: int) -> int:
@@ -47,7 +47,8 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     1e-12 times the largest cross-spectral magnitude), which makes the
     estimate insensitive to spectral coloration and overall scale.
     ``refined_offset`` is a parabolic-interpolation peak estimate for
-    diagnostics; the integer offset does not use it.
+    diagnostics, ``None`` when the peak sits at an edge of the lag window;
+    the integer offset does not use it.
 
     The FFT length is the smallest 5-smooth ``n`` of at least
     ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
