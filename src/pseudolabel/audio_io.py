@@ -142,12 +142,6 @@ def _read_header(fh, path) -> _WavHeader:
     return _WavHeader(rate, n_ch, width, *_DECODERS[tag, bits], data[0], data[1] // (width * n_ch))
 
 
-def _sample_rate(path) -> int:
-    """The sample rate in a WAV header; a bad header raises as :func:`read_wav` does."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path).rate
-
-
 def _frame_range(n_frames: int, rate: int, start_s: float, end_s: float | None) -> tuple[int, int]:
     """The rule of :func:`cut_segment` on a clip of ``n_frames``; ``end_s=None``
     means the clip end, and with ``start_s=0`` the whole (maybe empty) clip."""

@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentRecord, _read_jsonl, _sample_rate, read_wav, write_wav
+from .audio_io import AudioClip, SegmentRecord, _read_jsonl, read_wav, write_wav
 from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
@@ -87,15 +87,16 @@ _ROW_RULES = {name: _json_rule(hint) for name, hint in get_type_hints(PseudoLabe
 def read_pair(path_a, path_b, start_s=0.0, end_s=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Channel 0 of two WAVs over ``[start_s, end_s)``, and their common rate.
 
-    Raises for, in order: a header (as :func:`read_wav`), the rates, a range, a NaN or inf."""
-    rate_a, rate_b = _sample_rate(path_a), _sample_rate(path_b)
+    Raises for the first fault met: in ``path_a`` (as :func:`read_wav`), in ``path_b``, in
+    the two rates, in a sample (a NaN or inf)."""
+    clip_a, clip_b = (read_wav(path, start_s, end_s) for path in (path_a, path_b))
+    rate_a, rate_b = clip_a.sample_rate, clip_b.sample_rate
     if rate_a != rate_b:
         raise ValueError(f"sample rates differ: {rate_a} Hz in {path_a}, {rate_b} Hz in {path_b}")
-    a, b = (read_wav(path, start_s, end_s).channels[0] for path in (path_a, path_b))
-    for path, x in ((path_a, a), (path_b, b)):
-        if not np.isfinite(x).all():
+    for path, clip in ((path_a, clip_a), (path_b, clip_b)):
+        if not np.isfinite(clip.samples[0]).all():
             raise ValueError(f"non-finite sample in {path}")
-    return a, b, rate_a
+    return clip_a.samples[0], clip_b.samples[0], rate_a
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers

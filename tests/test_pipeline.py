@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pseudolabel import pipeline
+from pseudolabel import audio_io, pipeline
 from pseudolabel.audio_io import AudioClip, ManifestError, SegmentRecord, read_wav, write_wav
 from pseudolabel.pipeline import (
     PipelineConfig,
@@ -154,18 +154,19 @@ class TestRunTls:
         assert sorted(p.name for p in out_dir.iterdir()) == \
                sorted(Path(r.output_path).name for r in clean)
 
-    # Each row has two faults; the status names the one checked first. The order
-    # is: ids, name clash, close header, far header, rate, close range, far range,
-    # finiteness. ``rate`` is the far-field file's.
+    # Each row has two faults; the status names the one met first. The order is:
+    # ids, name clash, the close-talk file (header, then range), the far-field
+    # file (header, then range), the two rates, the samples. ``rate`` is the
+    # far-field file's.
     @pytest.mark.parametrize("close,far,rate,start,expected", [
-        ("1s", "1s", 8000, 2.0,
-         "error: sample rates differ: 16000 Hz in {close}, 8000 Hz in {far}"),
-        ("1s", "junk", 16000, 2.0, "error: {far}: not a RIFF/WAVE file"),
+        ("1s", "1s", 8000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
+        ("1s", "junk", 16000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
         ("junk", "missing", 16000, 0.0, "error: {close}: not a RIFF/WAVE file"),
         ("1s", "2s", 16000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
         ("3s_nan", "1s", 16000, 2.0, "error: segment start 2.0s is beyond the clip end (1.000s)"),
-    ], ids=["rate_before_range", "far_header_before_close_range", "close_header_before_far_file",
-            "close_range_before_far_range", "range_before_finiteness"])
+    ], ids=["close_range_before_rate", "close_range_before_far_header",
+            "close_header_before_far_file", "close_range_before_far_range",
+            "range_before_finiteness"])
     def test_row_reports_the_first_of_two_faults(self, tmp_path, close, far, rate, start,
                                                  expected):
         paths = {}
@@ -183,6 +184,20 @@ class TestRunTls:
         [rec] = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
         assert rec.status == expected.format(**paths)
         assert not rec.kept and rec.output_path is None
+
+    def test_each_wav_header_is_read_once(self, tmp_path, monkeypatch):
+        segs = [write_scenario(tmp_path, f"h{i}", seed=90 + i)[0] for i in range(3)]
+        calls = []
+        read_header = audio_io._read_header
+
+        def counting(fh, path):
+            calls.append(path)
+            return read_header(fh, path)
+
+        monkeypatch.setattr(audio_io, "_read_header", counting)
+        records = run_tls(segs, PipelineConfig(output_dir=str(tmp_path / "out")))
+        assert [rec.status for rec in records] == ["ok"] * 3
+        assert calls == [p for seg in segs for p in (seg.close_talk_path, seg.farfield_path)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_colliding_output_names_fail_later_rows(self, tmp_path, workers):
