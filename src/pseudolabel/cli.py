@@ -70,10 +70,11 @@ class _BadInput(Exception):
 
 @contextlib.contextmanager
 def _input_faults():
-    """Report a ``ValueError`` raised inside as a fault in the input files."""
+    """Report a ``ValueError``, ``OSError`` or numpy float error raised inside as bad input."""
     try:
-        yield
-    except ValueError as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (ValueError, OSError, FloatingPointError) as exc:
         raise _BadInput(exc) from exc
 
 

@@ -8,6 +8,7 @@ read it with a few struct calls.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def load_grid(path) -> np.ndarray:
     if len(blob) < offset:
         raise GridFormatError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{ndim}Q", blob, 12)
-    count = int(np.prod(dims)) if ndim else 1
+    count = math.prod(dims)  # exact: numpy's int64 product wraps
     payload = blob[offset:]
     if len(payload) < 8 * count:
         raise GridFormatError(f"{path}: truncated payload")

@@ -132,27 +132,28 @@ def _output_name(seg: SegmentRecord) -> str:
 def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConfig,
                      ) -> PseudoLabelRecord:
     """One segment's row; ``clash`` is the index of an earlier row with the
-    same output name, if any."""
+    same output name, if any. A numpy float fault fails the row instead of warning."""
     rec = PseudoLabelRecord(segment=seg)
     try:
-        # Both ids become part of the output file name.
-        for name in ("session_id", "speaker_id"):
-            if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
-                raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
-        if clash is not None:
-            raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
-        s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
-        max_lag = int(round(config.max_lag_s * rate))
-        align = gcc_phat(s1, y, max_lag=max_lag)
-        shifted = apply_shift(s1, align.offset_samples, y.size)
-        pseudo = level_align(shifted, y, config.stft, config.mflf)
-        rec.offset_samples = align.offset_samples
-        rec.snr_db = estimate_snr(pseudo, y)
-        filter_pairs([rec], config.snr_threshold_db)
-        if rec.kept:
-            out_path = Path(config.output_dir) / _output_name(seg)
-            write_wav(out_path, AudioClip(pseudo, rate), "float32")
-            rec.output_path = str(out_path)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # Both ids become part of the output file name.
+            for name in ("session_id", "speaker_id"):
+                if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
+                    raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
+            if clash is not None:
+                raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
+            s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
+            max_lag = int(round(config.max_lag_s * rate))
+            align = gcc_phat(s1, y, max_lag=max_lag)
+            shifted = apply_shift(s1, align.offset_samples, y.size)
+            pseudo = level_align(shifted, y, config.stft, config.mflf)
+            rec.offset_samples = align.offset_samples
+            rec.snr_db = estimate_snr(pseudo, y)
+            filter_pairs([rec], config.snr_threshold_db)
+            if rec.kept:
+                out_path = Path(config.output_dir) / _output_name(seg)
+                write_wav(out_path, AudioClip(pseudo, rate), "float32")
+                rec.output_path = str(out_path)
     except Exception as exc:  # keep the batch alive; the row carries the reason
         rec.status = f"error: {exc}"
         rec.kept = False

@@ -54,7 +54,9 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
     up circular aliasing, and of at least ``2 * max_lag + 2``, so every
     lag in the window is distinct. The cost grows with the longer
-    signal plus ``max_lag``, not with twice the signal length.
+    signal plus ``max_lag``, not with twice the signal length. The two
+    signals must hold more than ``max_lag + 1`` samples between them; on
+    shorter ones a lag with little or no overlap can win the peak.
     """
     s1 = np.asarray(s1, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -62,11 +64,11 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
         raise ValueError("gcc_phat expects two nonempty 1-D signals")
     if not np.any(s1) or not np.any(y):
         raise ValueError("gcc_phat requires both signals to have nonzero energy")
-    min_len = s1.size + y.size - 1
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    if max_lag >= min_len:
-        raise ValueError(f"max_lag {max_lag} >= padded correlation length {min_len}")
+    if max_lag >= s1.size + y.size - 1:
+        raise ValueError(f"max_lag {max_lag} needs more than {max_lag + 1} samples between "
+                         f"the two signals, got {s1.size} + {y.size}")
 
     n = _fft_len(max(max(s1.size, y.size) + max_lag + 1, 2 * max_lag + 2))
     cross = np.fft.rfft(s1, n) * np.conj(np.fft.rfft(y, n))

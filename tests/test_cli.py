@@ -16,7 +16,7 @@ from pseudolabel import PipelineConfig
 from pseudolabel.audio_io import AudioClip, read_wav, write_wav
 from pseudolabel.cli import build_parser, main, parse_config_file
 from pseudolabel.dsp import StftConfig
-from pseudolabel.gridio import load_grid, save_grid
+from pseudolabel.gridio import MAGIC, load_grid, save_grid
 from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
@@ -74,6 +74,31 @@ def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
     assert captured.err.strip() == f"{command}: non-finite sample in {b}"
     assert captured.out == ""
     assert not (tmp_path / "mask.grid").exists()
+
+
+def float64_wav_of(tmp_path, name, samples, rate=16000) -> str:
+    """A mono float64 WAV, which ``write_wav`` does not write."""
+    payload = np.asarray(samples, dtype="<f8").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 8, 8, 64)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    path = tmp_path / name
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return str(path)
+
+
+# A pair scaled by 1e300 (true SNR 20 dB) overflows in the SNR and in the
+# cross spectrum; the command fails instead of printing nan and exiting 0.
+@pytest.mark.parametrize("command", ["snr", "align"])
+def test_two_wav_commands_reject_an_overflow(tmp_path, capsys, command):
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal(8000)
+    a = float64_wav_of(tmp_path, "a.wav", 1e300 * s)
+    b = float64_wav_of(tmp_path, "b.wav", 1e300 * (s + 0.1 * rng.standard_normal(8000)))
+    assert main([command, a, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"{command}: overflow encountered in multiply"
+    assert captured.out == ""
 
 
 def empty_wav_of(tmp_path, name) -> str:
@@ -154,8 +179,11 @@ class TestSnrCommand:
         assert captured.err.strip() == "snr: length mismatch: (8000,) vs (7900,)"
         assert captured.out == ""
 
-    def test_missing_file_is_io_error(self, tmp_path):
-        assert main(["snr", str(tmp_path / "no.wav"), str(tmp_path / "no2.wav")]) == 1
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "no.wav"
+        assert main(["snr", str(missing), str(tmp_path / "no2.wav")]) == 1
+        assert capsys.readouterr().err.strip() == \
+               f"snr: [Errno 2] No such file or directory: {str(missing)!r}"
 
 
 class TestAlignCommand:
@@ -198,6 +226,14 @@ class TestMcaCommand:
         save_grid(good, np.ones((2, 2)))
         assert main(["mca", str(bad), str(good)]) == 1
         assert capsys.readouterr().err.strip() == f"mca: {bad}: not a grid file"
+
+    def test_grid_whose_size_overflows_int64_is_input_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.grid"
+        huge.write_bytes(MAGIC + struct.pack("<HHIQQ", 1, 1, 2, 2**33, 2**31))
+        good = tmp_path / "good.grid"
+        save_grid(good, np.ones((2, 2)))
+        assert main(["mca", str(huge), str(good)]) == 1
+        assert capsys.readouterr().err.strip() == f"mca: {huge}: truncated payload"
 
 
 class TestIamCommand:

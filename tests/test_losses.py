@@ -201,7 +201,9 @@ class TestGridIO:
         (MAGIC + struct.pack("<HHI", 2, 1, 0), "unsupported version 2"),
         (MAGIC + struct.pack("<HHI", 1, 2, 0), "unsupported dtype tag 2"),
         (MAGIC + struct.pack("<HHIQ", 1, 1, 2, 4), "truncated header"),
-    ], ids=["version", "dtype_tag", "truncated_header"])
+        # 2**64 elements: an int64 product of the dims would wrap to 0
+        (MAGIC + struct.pack("<HHIQQ", 1, 1, 2, 2**33, 2**31), "truncated payload"),
+    ], ids=["version", "dtype_tag", "truncated_header", "size_overflow"])
     def test_bad_header_names_the_file(self, tmp_path, header, message):
         path = tmp_path / "e.grid"
         path.write_bytes(header)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import platform
+import struct
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,6 +36,15 @@ def write_scenario(tmp_path, name, delay=160, gain=0.5, snr_db=10.0, seconds=3.0
     seg = SegmentRecord(name, "spk", 0.0, far.size / 16000, str(close_path), str(far_path))
     gt_snr = 10 * math.log10(np.sum(direct**2) / np.sum((far - direct) ** 2)) if math.isfinite(snr_db) else math.inf
     return seg, gt_snr
+
+
+def write_float64_wav(path, samples, rate=16000):
+    """A mono float64 WAV, which ``write_wav`` does not write."""
+    payload = np.asarray(samples, dtype="<f8").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 8, 8, 64)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 class TestRunTls:
@@ -184,6 +195,47 @@ class TestRunTls:
         [rec] = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
         assert rec.status == expected.format(**paths)
         assert not rec.kept and rec.output_path is None
+
+    # Finite far-field samples so large that their squares overflow, or so small
+    # that whitening divides by a subnormal: the row fails instead of reading ok
+    # with a -inf SNR, and numpy warns of nothing.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numeric_fault_fails_that_row(self, tmp_path, workers):
+        good, _ = write_scenario(tmp_path, "g", delay=100, seed=95)
+        far = read_wav(good.farfield_path).channels[0]
+        segs = []
+        for scale in (1e300, 1e200, 1e-310):
+            path = tmp_path / f"far_{scale:g}.wav"
+            write_float64_wav(path, far * scale)
+            segs.append(dataclasses.replace(good, speaker_id=f"{scale:g}", farfield_path=str(path)))
+        # pytest makes a warning an error, which would fail these rows at any
+        # revision; record warnings instead, and expect none.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_tls(segs + [good], PipelineConfig(output_dir=str(tmp_path / "out"),
+                                                            worker_count=workers))
+        assert caught == []
+        assert [rec.status for rec in records] == [
+            "error: overflow encountered in square", "error: overflow encountered in square",
+            "error: overflow encountered in divide", "ok"]
+        for rec in records[:3]:
+            assert not rec.kept and rec.offset_samples is None and rec.snr_db is None
+        assert records[3].kept and records[3].offset_samples == -100
+
+    # At the default +-0.5 s window (8000 samples at 16 kHz) gcc_phat needs
+    # more than 8001 samples between the two cuts: 0.24 s is 2 x 3840, 0.26 s
+    # is 2 x 4160.
+    @pytest.mark.parametrize("seconds,status", [
+        (0.24, "error: max_lag 8000 needs more than 8001 samples between the two signals, "
+               "got 3840 + 3840"),
+        (0.26, "ok"),
+    ])
+    def test_short_segment(self, tmp_path, seconds, status):
+        seg, _ = write_scenario(tmp_path, "short", delay=40, snr_db=20.0, seed=96)
+        seg = dataclasses.replace(seg, start_s=1.0, end_s=1.0 + seconds)
+        [rec] = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
+        assert rec.status == status
+        assert rec.offset_samples == (-40 if status == "ok" else None)
 
     def test_each_wav_header_is_read_once(self, tmp_path, monkeypatch):
         segs = [write_scenario(tmp_path, f"h{i}", seed=90 + i)[0] for i in range(3)]
