@@ -18,7 +18,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parents[2] / "src"), str(HERE.parents[1])]
 
-from test_contract import run_outputs  # noqa: E402
+from test_contract import build_corpus, run_outputs  # noqa: E402
 
 
 def main() -> int:
@@ -27,7 +27,9 @@ def main() -> int:
         path = HERE / name
         old[name] = path.read_text().splitlines() if path.exists() else []
     with tempfile.TemporaryDirectory() as tmp:
-        new = dict(zip(("rows.jsonl", "kept_wavs.jsonl"), run_outputs(Path(tmp), workers=1)))
+        root = Path(tmp)
+        rows, wavs, _ = run_outputs(root, build_corpus(root / "corpus"), workers=1)
+    new = {"rows.jsonl": rows, "kept_wavs.jsonl": wavs}
     for name, items in new.items():
         lines = [json.dumps(item) for item in items]
         (HERE / name).write_text("".join(line + "\n" for line in lines))

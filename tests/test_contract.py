@@ -63,21 +63,22 @@ def build_corpus(root: Path) -> list:
     return manifest + parse_segments(session_path)
 
 
-def run_outputs(root: Path, workers: int) -> tuple[list[dict], list[dict]]:
-    """Build the corpus under ``root / "corpus"``, run it with ``workers``
-    processes, and return its rows and kept WAVs in the fixture's form:
-    rows without ``processed_at``, and the corpus and output directories
-    written as ``<corpus>`` and ``<out>`` in every string."""
+def run_outputs(root: Path, manifest: list, workers: int,
+                ) -> tuple[list[dict], list[dict], dict[str, bytes]]:
+    """Run ``manifest``, built by :func:`build_corpus` under ``root / "corpus"``,
+    with ``workers`` processes. Returns its rows and kept WAVs in the
+    fixture's form (rows without ``processed_at``, and the corpus and output
+    directories written as ``<corpus>`` and ``<out>`` in every string), and
+    each kept WAV's bytes by its output path in that form."""
     corpus, out = root / "corpus", root / f"out_w{workers}"
-    records = run_tls(build_corpus(corpus), PipelineConfig(output_dir=str(out),
-                                                           worker_count=workers))
+    records = run_tls(manifest, PipelineConfig(output_dir=str(out), worker_count=workers))
 
     def portable(value):
         if not isinstance(value, str):
             return value
         return value.replace(str(out), "<out>").replace(str(corpus), "<corpus>")
 
-    rows, wavs = [], []
+    rows, wavs, wav_bytes = [], [], {}
     for rec in records:
         row = {key: portable(value) for key, value in record_to_dict(rec).items()}
         del row["processed_at"]
@@ -86,7 +87,17 @@ def run_outputs(root: Path, workers: int) -> tuple[list[dict], list[dict]]:
             samples = read_wav(rec.output_path).samples
             wavs.append({"output_path": row["output_path"], "n_samples": samples.shape[1],
                          "energy": float(np.sum(samples * samples))})
-    return rows, wavs
+            wav_bytes[row["output_path"]] = Path(rec.output_path).read_bytes()
+    return rows, wavs, wav_bytes
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory) -> dict[int, tuple]:
+    """The corpus, built once and run with 1 and 2 workers: ``run_outputs``
+    by worker count."""
+    root = tmp_path_factory.mktemp("contract")
+    manifest = build_corpus(root / "corpus")
+    return {workers: run_outputs(root, manifest, workers) for workers in (1, 2)}
 
 
 def load_fixture() -> tuple[list[dict], list[dict]]:
@@ -101,8 +112,8 @@ def _snr_close(got, want) -> bool:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_rows_and_kept_wavs_match_the_fixture(tmp_path, workers):
-    rows, wavs = run_outputs(tmp_path, workers)
+def test_rows_and_kept_wavs_match_the_fixture(outputs, workers):
+    rows, wavs, _ = outputs[workers]
     want_rows, want_wavs = load_fixture()
     assert len(rows) == len(want_rows)
     for i, (got, want) in enumerate(zip(rows, want_rows)):
@@ -115,6 +126,14 @@ def test_rows_and_kept_wavs_match_the_fixture(tmp_path, workers):
         assert got["n_samples"] == want["n_samples"], got["output_path"]
         assert abs(got["energy"] - want["energy"]) <= ENERGY_RTOL * want["energy"], \
             (got["output_path"], got["energy"], want["energy"])
+
+
+def test_worker_counts_give_the_same_rows_and_kept_wav_bytes(outputs):
+    (serial_rows, _, serial_wavs), (pooled_rows, _, pooled_wavs) = outputs[1], outputs[2]
+    assert serial_rows == pooled_rows
+    assert serial_wavs and serial_wavs.keys() == pooled_wavs.keys()
+    for path, data in serial_wavs.items():
+        assert pooled_wavs[path] == data, path
 
 
 def test_fixture_covers_every_outcome():
