@@ -135,13 +135,13 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
     same output name, if any. A numpy float fault fails the row instead of warning."""
     rec = PseudoLabelRecord(segment=seg)
     try:
+        # Both ids become part of the output file name.
+        for name in ("session_id", "speaker_id"):
+            if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
+                raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
+        if clash is not None:
+            raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            # Both ids become part of the output file name.
-            for name in ("session_id", "speaker_id"):
-                if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
-                    raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
-            if clash is not None:
-                raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
             s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
             max_lag = int(round(config.max_lag_s * rate))
             align = gcc_phat(s1, y, max_lag=max_lag)
