@@ -37,11 +37,12 @@ from .losses import McaReport, iam_target, mca_grad, mca_loss, stack_features
 from .pipeline import (
     PipelineConfig,
     PseudoLabelRecord,
+    filter_pairs,
     read_results,
     run_tls,
     write_results,
 )
-from .snr_filter import estimate_snr, filter_pairs
+from .snr_filter import estimate_snr
 from .synth import SynthScenario, gen_noise, gen_rir, simulate_corpus, speech_like, synth_pair
 from .time_align import AlignmentResult, apply_shift, gcc_phat
 

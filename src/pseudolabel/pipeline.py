@@ -24,7 +24,7 @@ from .audio_io import AudioClip, SegmentRecord, _read_jsonl, read_wav, write_wav
 from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
-from .snr_filter import DEFAULT_SNR_THRESHOLD_DB, estimate_snr, filter_pairs
+from .snr_filter import estimate_snr
 from .time_align import apply_shift, gcc_phat
 
 
@@ -33,7 +33,7 @@ class PipelineConfig:
     stft: StftConfig = field(default_factory=StftConfig)
     mflf: MflfConfig = field(default_factory=MflfConfig)
     max_lag_s: float = 0.5
-    snr_threshold_db: float = DEFAULT_SNR_THRESHOLD_DB
+    snr_threshold_db: float = -10.0
     worker_count: int = 1
     output_dir: str = "out"
 
@@ -62,6 +62,24 @@ class PseudoLabelRecord:
     status: str = "ok"
     output_path: str | None = None
     processed_at: str = ""
+
+
+def filter_pairs(records: list[PseudoLabelRecord],
+                 threshold_db: float = PipelineConfig.snr_threshold_db,
+                 ) -> tuple[list[PseudoLabelRecord], list[PseudoLabelRecord]]:
+    """Partition records into (kept, discarded) by SNR, boundary kept.
+
+    Updates each record's ``kept`` flag in place; input order is
+    preserved within both halves.
+    """
+    kept: list[PseudoLabelRecord] = []
+    discarded: list[PseudoLabelRecord] = []
+    for rec in records:
+        if rec.snr_db is None:
+            raise ValueError("record has no SNR estimate; run the pipeline first")
+        rec.kept = rec.snr_db >= threshold_db
+        (kept if rec.kept else discarded).append(rec)
+    return kept, discarded
 
 
 _ROW_FIELDS = [f.name for f in fields(PseudoLabelRecord) if f.name != "segment"]
@@ -131,8 +149,8 @@ def _output_name(seg: SegmentRecord) -> str:
 
 def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConfig,
                      ) -> PseudoLabelRecord:
-    """One segment's row; ``clash`` is the index of an earlier row with the
-    same output name, if any. A numpy float fault fails the row instead of warning."""
+    """One segment's row, stamped when done; ``clash`` is the index of an earlier row with
+    the same output name, if any. A numpy float fault fails the row instead of warning."""
     rec = PseudoLabelRecord(segment=seg)
     try:
         # Both ids become part of the output file name.
@@ -157,6 +175,7 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
     except Exception as exc:  # keep the batch alive; the row carries the reason
         rec.status = f"error: {exc}"
         rec.kept = False
+    rec.processed_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return rec
 
 
@@ -178,15 +197,10 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
     clashes = [None if first == i else first for i, first in enumerate(firsts)]
     worker = partial(_process_segment, config=config)
     if config.worker_count == 1 or len(manifest) <= 1:
-        records = list(map(worker, manifest, clashes))
-    else:
-        with ProcessPoolExecutor(max_workers=config.worker_count,
-                                 initializer=_retain_freed_memory) as pool:
-            records = list(pool.map(worker, manifest, clashes))
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    for rec in records:
-        rec.processed_at = stamp
-    return records
+        return list(map(worker, manifest, clashes))
+    with ProcessPoolExecutor(max_workers=config.worker_count,
+                             initializer=_retain_freed_memory) as pool:
+        return list(pool.map(worker, manifest, clashes))
 
 
 def record_to_dict(rec: PseudoLabelRecord) -> dict:

@@ -1,16 +1,10 @@
-"""Segment SNR estimation from pseudo labels and threshold filtering."""
+"""Segment SNR estimation from pseudo labels."""
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .pipeline import PseudoLabelRecord
-
-DEFAULT_SNR_THRESHOLD_DB = -10.0
 
 
 def estimate_snr(s3, y) -> float:
@@ -32,21 +26,3 @@ def estimate_snr(s3, y) -> float:
     if num == 0.0:
         return -math.inf
     return 10.0 * math.log10(num / den)
-
-
-def filter_pairs(records: list[PseudoLabelRecord],
-                 threshold_db: float = DEFAULT_SNR_THRESHOLD_DB,
-                 ) -> tuple[list[PseudoLabelRecord], list[PseudoLabelRecord]]:
-    """Partition records into (kept, discarded) by SNR, boundary kept.
-
-    Updates each record's ``kept`` flag in place; input order is
-    preserved within both halves.
-    """
-    kept: list[PseudoLabelRecord] = []
-    discarded: list[PseudoLabelRecord] = []
-    for rec in records:
-        if rec.snr_db is None:
-            raise ValueError("record has no SNR estimate; run the pipeline first")
-        rec.kept = rec.snr_db >= threshold_db
-        (kept if rec.kept else discarded).append(rec)
-    return kept, discarded

@@ -19,6 +19,7 @@ from pseudolabel.dsp import StftConfig
 from pseudolabel.gridio import MAGIC, load_grid, save_grid
 from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
+from pseudolabel.pipeline import filter_pairs
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
 
 
@@ -505,3 +506,5 @@ class TestFlagDefaults:
     def test_library_defaults_read_their_owners(self):
         assert _signature_defaults(mca_grad)["alpha"] == _signature_defaults(mca_loss)["alpha"]
         assert _signature_defaults(solve_mflf)["diag_load"] == MflfConfig().diag_load
+        assert _signature_defaults(filter_pairs)["threshold_db"] == \
+               PipelineConfig().snr_threshold_db

@@ -1,4 +1,5 @@
 import dataclasses
+import datetime
 import json
 import math
 import platform
@@ -268,6 +269,19 @@ class TestRunTls:
         ref = run_tls([a, b], PipelineConfig(output_dir=str(out_dir)))
         strip = lambda rec: record_to_dict(rec) | {"processed_at": ""}
         assert [strip(r) for r in records[:2]] == [strip(r) for r in ref]
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["ok", "failed"])
+    def test_each_row_is_stamped_where_it_is_made(self, tmp_path, missing):
+        seg, _ = write_scenario(tmp_path, "t", seed=31)
+        if missing:
+            seg = dataclasses.replace(seg, farfield_path=str(tmp_path / "nope.wav"))
+        before = datetime.datetime.now(datetime.timezone.utc)
+        rec = pipeline._process_segment(seg, None, PipelineConfig(output_dir=str(tmp_path)))
+        after = datetime.datetime.now(datetime.timezone.utc)
+        assert rec.status.startswith("error:") == missing
+        stamp = datetime.datetime.fromisoformat(rec.processed_at)
+        assert stamp.utcoffset() == datetime.timedelta(0)
+        assert before <= stamp <= after
 
     def test_idempotent_rerun(self, tmp_path):
         seg, _ = write_scenario(tmp_path, "f", seed=30)
