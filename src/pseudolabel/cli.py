@@ -24,7 +24,7 @@ from . import gridio
 from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
-from .losses import iam_target, mca_loss
+from .losses import _check_alpha, iam_target, mca_loss
 from .pipeline import PipelineConfig, read_pair, run_tls, write_results
 from .snr_filter import estimate_snr
 from .synth import simulate_corpus
@@ -79,21 +79,25 @@ def _input_faults():
 
 
 def parse_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_TYPES[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -168,8 +172,7 @@ def _cmd_run(args) -> int:
                   if getattr(args, key) is not None)
     manifest_path, out_dir = values.get("manifest"), values.get("out")
     if not manifest_path or not out_dir:
-        print("run: --manifest and --out are required (flag or config file)", file=sys.stderr)
-        return 2
+        raise ConfigError("--manifest and --out are required (flag or config file)")
     # Only the keys set above reach the constructors; the dataclasses supply
     # every other default.
     fields = {StftConfig: {}, MflfConfig: {}, PipelineConfig: {}}
@@ -181,11 +184,9 @@ def _cmd_run(args) -> int:
     try:
         manifest = parse_segments(manifest_path)
     except ManifestError as exc:
-        print(f"run: bad manifest: {exc}", file=sys.stderr)
-        return 1
+        raise _BadInput(f"bad manifest: {exc}") from exc
     except OSError as exc:
-        print(f"run: cannot read manifest: {exc}", file=sys.stderr)
-        return 1
+        raise _BadInput(f"cannot read manifest: {exc}") from exc
     records = run_tls(manifest, pipe_cfg)
     results_path = Path(out_dir) / "results.jsonl"
     write_results(records, results_path)
@@ -230,6 +231,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_mca(args) -> int:
+    _check_alpha(args.alpha)  # a flag fault, so checked outside the input-fault block
     with _input_faults():
         report = mca_loss(gridio.load_grid(args.target), gridio.load_grid(args.estimate),
                           alpha=args.alpha)
@@ -267,17 +269,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
+    # The prefix tells the exit code: "<command>: " for 1, "pseudolabel <command>: " for 2.
     try:
         return _COMMANDS[args.command](args)
-    except _BadInput as exc:
+    except (_BadInput, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"pseudolabel {args.command}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"pseudolabel {args.command}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -86,10 +86,6 @@ class Spectrogram:
     def n_frames(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
 
 def stft(signal, config: StftConfig) -> Spectrogram:
     """One-sided STFT of a single channel.

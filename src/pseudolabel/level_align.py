@@ -43,10 +43,18 @@ class MflfConfig:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
-        if not 0 < self.xi < math.inf:
-            raise ValueError(f"xi must be positive and finite, got {self.xi}")
-        if not 0 <= self.diag_load < math.inf:
-            raise ValueError(f"diag_load must be >= 0 and finite, got {self.diag_load}")
+        _check_xi(self.xi)
+        _check_diag_load(self.diag_load)
+
+
+def _check_xi(xi: float) -> None:
+    if not 0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi}")
+
+
+def _check_diag_load(diag_load: float) -> None:
+    if not 0 <= diag_load < math.inf:
+        raise ValueError(f"diag_load must be >= 0 and finite, got {diag_load}")
 
 
 @dataclass
@@ -89,8 +97,7 @@ def stack_frames(spec: Spectrogram, L: int) -> np.ndarray:
 
 def fcp_weights(Y: Spectrogram, xi: float) -> np.ndarray:
     """Per-cell weights ``xi * max|Y|^2 + |Y(t,f)|^2`` for the filter fit."""
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
+    _check_xi(xi)
     power = Y.data.real**2 + Y.data.imag**2
     peak = power.max()
     if peak == 0.0:
@@ -108,6 +115,7 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
     filter and are flagged. ``A`` is Hermitian, so only its L(L+1)/2
     distinct tap pairs are reduced over frames; the rest are conjugates.
     """
+    _check_diag_load(diag_load)
     n_frames, n_bins, L = stacked.shape
     if Y.data.shape != (n_frames, n_bins) or lam.shape != (n_frames, n_bins):
         raise ValueError("stacked, Y, and lam shapes disagree")

@@ -14,6 +14,7 @@ softer constraint than the MSE term it regularizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ class McaReport:
     cossim_loss: float
     mca: float
     alpha: float
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
 
 
 def _as_grid(x) -> np.ndarray:
@@ -51,6 +57,7 @@ def _denom_guard(na: float, nb: float) -> float:
 
 def mca_loss(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> McaReport:
     """MSE plus alpha-weighted cosine-similarity loss between two grids."""
+    _check_alpha(alpha)
     A, B = _as_grid(A), _as_grid(B)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
@@ -62,6 +69,7 @@ def mca_loss(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> McaReport:
 
 def mca_grad(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> np.ndarray:
     """Gradient of the MCA loss with respect to the second grid ``B``."""
+    _check_alpha(alpha)
     A, B = _as_grid(A), _as_grid(B)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
@@ -78,7 +86,7 @@ def iam_target(mag_S, mag_Y, clip_max: float = 2.0) -> np.ndarray:
     S, Y = _as_grid(mag_S), _as_grid(mag_Y)
     if S.shape != Y.shape:
         raise ValueError(f"shape mismatch: {S.shape} vs {Y.shape}")
-    if clip_max <= 0:
+    if not clip_max > 0:
         raise ValueError(f"clip_max must be positive, got {clip_max}")
     floor = 1e-12 * float(Y.max(initial=0.0))
     if floor == 0.0:

@@ -36,10 +36,12 @@ class SynthScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.gain <= 0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
+        if not 0 < self.gain < math.inf:
+            raise ValueError(f"gain must be positive and finite, got {self.gain}")
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
+        if not -math.inf < self.noise_snr_db <= math.inf:
+            raise ValueError(f"noise_snr_db must be finite or inf, got {self.noise_snr_db}")
         if self.rir_taps is not None:
             taps = np.asarray(self.rir_taps, dtype=np.float64)
             if taps.size == 0 or taps[0] == 0.0:
@@ -76,6 +78,8 @@ def gen_rir(decay_ms: float, len_taps: int, seed: int, sample_rate: int,
     """
     if len_taps < 1:
         raise ValueError(f"len_taps must be >= 1, got {len_taps}")
+    if not 0 <= decay_ms < math.inf:
+        raise ValueError(f"decay_ms must be >= 0 and finite, got {decay_ms}")
     rir = np.zeros(len_taps)
     rir[0] = 1.0
     if len_taps > 1 and decay_ms > 0:
@@ -146,12 +150,19 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if duration_range[0] > duration_range[1] or duration_range[0] <= 0:
-        raise ValueError(f"bad duration_range {duration_range}")
-    if delay_range[0] > delay_range[1] or delay_range[0] < 0:
-        raise ValueError(f"bad delay_range {delay_range}")
-    if snr_range_db[0] > snr_range_db[1]:
-        raise ValueError(f"bad snr_range_db {snr_range_db}")
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    for name, (low, high), floor_ok, rule in (
+            ("duration_range", duration_range, duration_range[0] > 0, "0 < low <= high"),
+            ("delay_range", delay_range, delay_range[0] >= 0, "0 <= low <= high"),
+            ("gain_range", gain_range, gain_range[0] > 0, "0 < low <= high"),
+            ("snr_range_db", snr_range_db, snr_range_db[0] > -math.inf, "low <= high")):
+        if not (floor_ok and low <= high < math.inf):
+            raise ValueError(f"{name} must be finite with {rule}, got {(low, high)}")
+    if not 0 <= max_decay_ms < math.inf:
+        raise ValueError(f"max_decay_ms must be >= 0 and finite, got {max_decay_ms}")
+    if not 0 <= anechoic_fraction <= 1:
+        raise ValueError(f"anechoic_fraction must be in [0, 1], got {anechoic_fraction}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

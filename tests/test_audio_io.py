@@ -98,6 +98,27 @@ class TestWavRoundTrip:
         with pytest.raises(OSError):
             write_wav(tmp_path / "missing_dir" / "x.wav", AudioClip(np.zeros(10), 16000))
 
+    def test_odd_payload_gets_a_pad_byte(self, tmp_path):
+        # 7 PCM24 samples are a 21-byte payload; RIFF pads a chunk to an even size.
+        x = np.linspace(-0.9, 0.9, 7)
+        path = tmp_path / "odd.wav"
+        write_wav(path, AudioClip(x, 16000), "pcm24")
+        blob = path.read_bytes()
+        assert len(blob) == 66 and blob[-1] == 0
+        assert struct.unpack_from("<I", blob, 4) == (len(blob) - 8,)
+        np.testing.assert_allclose(read_wav(path).samples[0], x, rtol=0, atol=0.5 / 8388608)
+
+
+class TestAudioClip:
+    @pytest.mark.parametrize("samples, rate, message", [
+        (np.zeros((1, 2, 3)), 16000, r"samples must be 1-D or 2-D, got shape \(1, 2, 3\)"),
+        (np.zeros(4), 0, "sample_rate must be positive, got 0"),
+        (np.zeros(4), -8000, "sample_rate must be positive, got -8000"),
+    ])
+    def test_rejects(self, samples, rate, message):
+        with pytest.raises(ValueError, match=message):
+            AudioClip(samples, rate)
+
 
 class TestWavFixtures:
     def test_pcm16_full_scale_square_wave(self, tmp_path):

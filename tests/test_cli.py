@@ -220,6 +220,19 @@ class TestMcaCommand:
         assert "mse=1" in out
         assert "cossim=0" in out
 
+    # alpha is a flag, so its fault exits 2 even when a grid is missing too.
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("grids_exist", [True, False])
+    def test_bad_alpha_is_usage_error(self, tmp_path, capsys, alpha, grids_exist):
+        a = tmp_path / "a.grid"
+        if grids_exist:
+            save_grid(a, np.ones((2, 2)))
+        assert main(["mca", str(a), str(a), "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+               f"pseudolabel mca: alpha must be >= 0 and finite, got {float(alpha)}\n"
+        assert captured.out == ""
+
     def test_bad_grid_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.grid"
         bad.write_bytes(b"nope")
@@ -248,6 +261,15 @@ class TestIamCommand:
         mask = load_grid(out)
         assert mask.ndim == 2
         assert mask.min() >= 0.0 and mask.max() <= 2.0
+
+    def test_nan_clip_max_is_usage_error(self, tmp_path, capsys):
+        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
+        out = tmp_path / "mask.grid"
+        assert main(["iam", c, c, "-o", str(out), "--clip-max", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "pseudolabel iam: clip_max must be positive, got nan\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSimulateAndRun:
@@ -295,6 +317,25 @@ class TestSimulateAndRun:
         assert captured.out == ""
         assert not corpus.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--snr-min-db", "nan", "snr_range_db must be finite with low <= high, got (nan, 20.0)"),
+        ("--snr-max-db", "inf", "snr_range_db must be finite with low <= high, got (0.0, inf)"),
+        ("--min-duration-s", "nan",
+         "duration_range must be finite with 0 < low <= high, got (nan, 8.0)"),
+        ("--max-duration-s", "inf",
+         "duration_range must be finite with 0 < low <= high, got (4.0, inf)"),
+        ("--max-decay-ms", "nan", "max_decay_ms must be >= 0 and finite, got nan"),
+        ("--sample-rate", "0", "sample_rate must be positive, got 0"),
+    ], ids=["snr_min_nan", "snr_max_inf", "min_duration_nan", "max_duration_inf",
+            "max_decay_nan", "rate_0"])
+    def test_bad_parameter_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--out", str(corpus), "--count", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"pseudolabel simulate: {message}\n"
+        assert captured.out == ""
+        assert not corpus.exists()
+
     def test_missing_manifest_is_batch_failure(self, tmp_path):
         assert main(["run", "--manifest", str(tmp_path / "no.jsonl"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -315,8 +356,17 @@ class TestSimulateAndRun:
         assert capsys.readouterr().err.strip() == "run: bad manifest: line 1: not UTF-8 text"
         assert not out_dir.exists()
 
-    def test_missing_required_flags(self, tmp_path):
+    def test_missing_required_flags(self, tmp_path, capsys):
         assert main(["run"]) == 2
+        assert capsys.readouterr().err == \
+               "pseudolabel run: --manifest and --out are required (flag or config file)\n"
+
+    def test_output_dir_that_is_a_file_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "m.jsonl").write_text("")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--manifest", str(tmp_path / "m.jsonl"), "--out", str(taken)]) == 1
+        assert capsys.readouterr().err == f"run: [Errno 17] File exists: {str(taken)!r}\n"
 
     def test_nan_threshold_is_usage_error(self, tmp_path):
         (tmp_path / "m.jsonl").write_text("")
@@ -388,6 +438,15 @@ class TestConfigFile:
         cfg = tmp_path / "p.cfg"
         cfg.write_text("not a key value line\n")
         assert main(["run", "--config", str(cfg), "--manifest", "m", "--out", "o"]) == 2
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(missing), "--manifest", "m",
+                     "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == ("pseudolabel run: cannot read config file: [Errno 2] "
+                                           f"No such file or directory: {str(missing)!r}\n")
+        assert not out_dir.exists()
 
     def test_bad_value_names_file_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -204,6 +204,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Spectrogram(data, cfg)
 
+    def test_spectrogram_rejects_three_d_data(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            Spectrogram(np.zeros((3, 257, 1)), StftConfig())
+
     def test_spectrogram_rejects_wrong_bins(self):
         with pytest.raises(ValueError, match="bin count"):
             Spectrogram(np.zeros((3, 100)), StftConfig())

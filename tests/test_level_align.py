@@ -186,6 +186,11 @@ class TestFcpWeights:
         with pytest.raises(ValueError, match="unusable"):
             fcp_weights(Spectrogram(np.zeros((4, CFG.n_bins)), CFG), 1e-4)
 
+    @pytest.mark.parametrize("xi", [0.0, -1e-2, math.inf, math.nan])
+    def test_bad_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="xi must be positive and finite"):
+            fcp_weights(random_spec(4, 3), xi)
+
 
 class TestSolveMflf:
     def test_exact_scalar_gain(self):
@@ -316,6 +321,28 @@ class TestSolveMflf:
         with pytest.raises(ValueError, match="disagree"):
             solve_mflf(stacked, Y, np.ones((10, CFG.n_bins)), 1e-6)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan])
+    def test_non_positive_weights_rejected(self, weight):
+        spec = random_spec(10, 17)
+        lam = np.ones((10, CFG.n_bins))
+        lam[3, 40] = weight
+        with pytest.raises(ValueError, match="strictly positive"):
+            solve_mflf(stack_frames(spec, 2), random_spec(10, 18), lam, 1e-6)
+
+    @pytest.mark.parametrize("diag_load", [-1e-6, math.inf, math.nan])
+    def test_bad_diag_load_rejected(self, diag_load):
+        spec = random_spec(10, 17)
+        with pytest.raises(ValueError, match="diag_load must be >= 0 and finite"):
+            solve_mflf(stack_frames(spec, 2), spec, np.ones((10, CFG.n_bins)), diag_load)
+
+    def test_non_finite_solution_is_zeroed_and_flagged(self):
+        # |s|^2 ~ 1e-306 keeps each bin live, while b ~ 1e7 makes h = b / A
+        # overflow inside the solver; such a bin gets the zero filter.
+        s = Spectrogram(np.full((4, CFG.n_bins), 1e-153, dtype=complex), CFG)
+        Y = Spectrogram(np.full((4, CFG.n_bins), 1e160, dtype=complex), CFG)
+        fs = solve_mflf(stack_frames(s, 1), Y, np.ones((4, CFG.n_bins)), diag_load=0.0)
+        assert fs.flags.all() and not fs.h.any()
+
 
 class TestApplyMflf:
     def test_zero_filter_zero_output(self):
@@ -349,6 +376,25 @@ class TestApplyMflf:
         fs = FilterSet(np.zeros((CFG.n_bins, 2), dtype=complex), 2, np.zeros(CFG.n_bins, bool))
         with pytest.raises(ValueError, match="tap count"):
             apply_mflf(fs, stacked)
+
+    def test_bin_count_mismatch(self):
+        stacked = stack_frames(random_spec(10, 23), 2)
+        fs = FilterSet(np.zeros((CFG.n_bins - 1, 2), dtype=complex), 2,
+                       np.zeros(CFG.n_bins - 1, bool))
+        with pytest.raises(ValueError, match="bin count"):
+            apply_mflf(fs, stacked)
+
+
+class TestFilterSet:
+    @pytest.mark.parametrize("h, flags, message", [
+        (np.zeros(CFG.n_bins), np.zeros(CFG.n_bins, bool), "must have shape"),
+        (np.zeros((CFG.n_bins, 3)), np.zeros(CFG.n_bins, bool), "must have shape"),
+        (np.full((CFG.n_bins, 2), np.nan), np.zeros(CFG.n_bins, bool), "non-finite"),
+        (np.zeros((CFG.n_bins, 2)), np.zeros(CFG.n_bins - 1, bool), "one entry per bin"),
+    ], ids=["1-D", "wrong_L", "nan", "flags"])
+    def test_rejects(self, h, flags, message):
+        with pytest.raises(ValueError, match=message):
+            FilterSet(h, 2, flags)
 
 
 class TestLevelAlign:

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -82,6 +83,19 @@ class TestMcaLoss:
         with pytest.raises(ValueError, match="all-zero"):
             mca_loss(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, value):
+        B = np.ones((2, 2))
+        B[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            mca_loss(np.ones((2, 2)), B)
+
+    @pytest.mark.parametrize("loss", [mca_loss, mca_grad])
+    @pytest.mark.parametrize("alpha", [-1.0, math.inf, math.nan])
+    def test_bad_alpha_rejected(self, loss, alpha):
+        with pytest.raises(ValueError, match="alpha must be >= 0 and finite"):
+            loss(np.ones((2, 2)), np.full((2, 2), 2.0), alpha=alpha)
+
 
 class TestMcaGrad:
     def test_identical_grids_leave_only_cossim_term(self):
@@ -143,6 +157,14 @@ class TestIamTarget:
     def test_bad_clip(self):
         with pytest.raises(ValueError):
             iam_target(np.ones((2, 2)), np.ones((2, 2)), clip_max=0.0)
+        with pytest.raises(ValueError, match="clip_max must be positive, got nan"):
+            iam_target(np.ones((2, 2)), np.ones((2, 2)), clip_max=math.nan)
+
+    def test_all_zero_mixture_clips_every_live_cell(self):
+        # The divisor's floor falls back to the smallest normal float.
+        S = np.array([[0.0, 0.5], [1.0, 0.25]])
+        np.testing.assert_array_equal(iam_target(S, np.zeros((2, 2)), clip_max=2.0),
+                                      [[0.0, 2.0], [2.0, 2.0]])
 
 
 class TestStackFeatures:

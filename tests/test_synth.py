@@ -45,6 +45,11 @@ class TestGenNoise:
         with pytest.raises(ValueError):
             gen_noise("brown", 100, 0)
 
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_bad_length(self, length):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            gen_noise("white", length, 0)
+
 
 class TestGenRir:
     def test_single_tap_is_anechoic(self):
@@ -81,6 +86,11 @@ class TestGenRir:
     def test_bad_len(self):
         with pytest.raises(ValueError):
             gen_rir(50.0, 0, 0, 16000)
+
+    @pytest.mark.parametrize("decay_ms", [math.nan, math.inf, -1.0])
+    def test_bad_decay_rejected(self, decay_ms):
+        with pytest.raises(ValueError, match="decay_ms must be >= 0 and finite"):
+            gen_rir(decay_ms, 100, 0, 16000)
 
 
 class TestSynthPair:
@@ -138,6 +148,16 @@ class TestSynthPair:
         with pytest.raises(ValueError, match="energy"):
             synth_pair(np.zeros(100), SynthScenario())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gain": math.nan}, "gain must be positive and finite"),
+        ({"gain": math.inf}, "gain must be positive and finite"),
+        ({"noise_snr_db": math.nan}, "noise_snr_db must be finite or inf"),
+        ({"noise_snr_db": -math.inf}, "noise_snr_db must be finite or inf"),
+    ], ids=["gain_nan", "gain_inf", "noise_snr_nan", "noise_snr_minus_inf"])
+    def test_non_finite_scenarios_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SynthScenario(**kwargs)
+
 
 class TestSpeechLike:
     def test_deterministic(self):
@@ -146,6 +166,11 @@ class TestSpeechLike:
     def test_peak_normalized(self):
         x = speech_like(2.0, 16000, 17)
         assert np.max(np.abs(x)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("duration_s, sample_rate", [(0.0, 16000), (1e-5, 16000), (1.0, 0)])
+    def test_too_short_rejected(self, duration_s, sample_rate):
+        with pytest.raises(ValueError, match="duration too short"):
+            speech_like(duration_s, sample_rate, 0)
 
 
 class TestSimulateCorpus:
@@ -186,3 +211,27 @@ class TestSimulateCorpus:
         assert not (tmp_path / "c").exists()
         manifest_path, _ = simulate_corpus(tmp_path / "empty", count=0)
         assert manifest_path.read_text() == ""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_rate": 0},
+        {"duration_range": (math.nan, 1.0)},
+        {"duration_range": (1.0, math.inf)},
+        {"duration_range": (0.0, 1.0)},
+        {"delay_range": (-1, 5)},
+        {"delay_range": (5, 1)},
+        {"gain_range": (0.0, 0.5)},
+        {"gain_range": (0.1, math.nan)},
+        {"snr_range_db": (math.nan, 20.0)},
+        {"snr_range_db": (0.0, math.inf)},
+        {"snr_range_db": (-math.inf, 0.0)},
+        {"max_decay_ms": math.nan},
+        {"max_decay_ms": math.inf},
+        {"max_decay_ms": -1.0},
+        {"anechoic_fraction": 1.5},
+        {"anechoic_fraction": math.nan},
+    ], ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_bad_parameter_rejected_before_writing(self, tmp_path, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simulate_corpus(tmp_path / "c", count=1, **kwargs)
+        assert not (tmp_path / "c").exists()

@@ -113,6 +113,11 @@ class TestGccPhat:
         with pytest.raises(ValueError, match="energy"):
             gcc_phat(x, np.zeros(1000), max_lag=100)
 
+    def test_negative_max_lag_rejected(self):
+        x = np.random.default_rng(8).standard_normal(500)
+        with pytest.raises(ValueError, match="max_lag must be >= 0, got -1"):
+            gcc_phat(x, x, max_lag=-1)
+
     def test_max_lag_too_large(self):
         x = np.random.default_rng(8).standard_normal(500)
         with pytest.raises(ValueError, match="max_lag"):
