@@ -24,7 +24,7 @@ from . import gridio
 from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
-from .losses import _check_alpha, iam_target, mca_loss
+from .losses import _check_alpha, _check_clip_max, iam_target, mca_loss
 from .pipeline import PipelineConfig, read_pair, run_tls, write_results
 from .snr_filter import estimate_snr
 from .synth import simulate_corpus
@@ -60,10 +60,6 @@ def _field_default(key: str):
 _CONFIG_TYPES = {"manifest": str} | {key: type(_field_default(key)) for key in _RUN_KEYS}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _BadInput(Exception):
     """A fault in a command's input files: unreadable, or impossible to compare (exit 1)."""
 
@@ -83,21 +79,21 @@ def parse_config_file(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     values: dict = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         try:
             values[key] = _CONFIG_TYPES[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
+            raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -172,7 +168,7 @@ def _cmd_run(args) -> int:
                   if getattr(args, key) is not None)
     manifest_path, out_dir = values.get("manifest"), values.get("out")
     if not manifest_path or not out_dir:
-        raise ConfigError("--manifest and --out are required (flag or config file)")
+        raise ValueError("--manifest and --out are required (flag or config file)")
     # Only the keys set above reach the constructors; the dataclasses supply
     # every other default.
     fields = {StftConfig: {}, MflfConfig: {}, PipelineConfig: {}}
@@ -241,13 +237,14 @@ def _cmd_mca(args) -> int:
 
 
 def _cmd_iam(args) -> int:
+    _check_clip_max(args.clip_max)  # flag faults, so checked before either read
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
     with _input_faults():
         clean, mixture, _ = read_pair(args.clean, args.mixture)
         mag_clean = np.abs(stft(clean, cfg).data)
         mag_mix = np.abs(stft(mixture, cfg).data)
-    n = min(len(mag_clean), len(mag_mix))
-    mask = iam_target(mag_clean[:n], mag_mix[:n], clip_max=args.clip_max)
+        n = min(len(mag_clean), len(mag_mix))
+        mask = iam_target(mag_clean[:n], mag_mix[:n], clip_max=args.clip_max)
     gridio.save_grid(args.out, mask)
     print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
     return 0

@@ -35,6 +35,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
 
 
+def _check_clip_max(clip_max: float) -> None:
+    if not clip_max > 0:
+        raise ValueError(f"clip_max must be positive, got {clip_max}")
+
+
 def _as_grid(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -82,15 +87,14 @@ def mca_grad(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> np.ndarray:
 
 
 def iam_target(mag_S, mag_Y, clip_max: float = 2.0) -> np.ndarray:
-    """Ideal amplitude mask ``min(|S| / |Y|, clip_max)`` with a floored divisor."""
+    """Ideal amplitude mask ``min(|S| / |Y|, clip_max)``; ``|Y|`` must not be all zero."""
+    _check_clip_max(clip_max)
     S, Y = _as_grid(mag_S), _as_grid(mag_Y)
     if S.shape != Y.shape:
         raise ValueError(f"shape mismatch: {S.shape} vs {Y.shape}")
-    if not clip_max > 0:
-        raise ValueError(f"clip_max must be positive, got {clip_max}")
-    floor = 1e-12 * float(Y.max(initial=0.0))
-    if floor == 0.0:
-        floor = np.finfo(np.float64).tiny
+    if not Y.any():
+        raise ValueError("mixture grid is all-zero")
+    floor = max(1e-12 * float(Y.max()), np.finfo(np.float64).tiny)
     return np.minimum(S / np.maximum(Y, floor), clip_max)
 
 

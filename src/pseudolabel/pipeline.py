@@ -187,8 +187,9 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
     status rather than aborting the batch; so does every row whose output
     file name an earlier row already has.
 
-    Sets glibc's allocator thresholds for the whole process, and for each
-    pool worker (see :func:`_retain_freed_memory`).
+    Runs ``min(config.worker_count, len(manifest))`` pool workers, or none
+    when that is at most 1. Sets glibc's allocator thresholds for the whole
+    process, and for each pool worker (see :func:`_retain_freed_memory`).
     """
     _retain_freed_memory()
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
@@ -196,10 +197,10 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
     firsts = [first_row.setdefault(_output_name(seg), i) for i, seg in enumerate(manifest)]
     clashes = [None if first == i else first for i, first in enumerate(firsts)]
     worker = partial(_process_segment, config=config)
-    if config.worker_count == 1 or len(manifest) <= 1:
+    workers = min(config.worker_count, len(manifest))
+    if workers <= 1:
         return list(map(worker, manifest, clashes))
-    with ProcessPoolExecutor(max_workers=config.worker_count,
-                             initializer=_retain_freed_memory) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_retain_freed_memory) as pool:
         return list(pool.map(worker, manifest, clashes))
 
 

@@ -22,7 +22,10 @@ NOISE_KINDS = ("white", "pink")
 # Total tail energy relative to the direct tap. Kept well below the
 # direct path so the tail perturbs rather than dominates the mixture,
 # matching an already-enhanced far-field reference.
-DEFAULT_TAIL_DB = -25.0
+TAIL_DB = -25.0
+
+# A quarter of a simulated corpus has no tail: the pure delay-and-gain case.
+ANECHOIC_FRACTION = 0.25
 
 
 @dataclass
@@ -68,18 +71,19 @@ def gen_noise(kind: str, length: int, seed: int) -> np.ndarray:
     return x / rms
 
 
-def gen_rir(decay_ms: float, len_taps: int, seed: int, sample_rate: int,
-            tail_db: float = DEFAULT_TAIL_DB) -> np.ndarray:
+def gen_rir(decay_ms: float, len_taps: int, seed: int, sample_rate: int) -> np.ndarray:
     """Unit direct tap followed by an exponentially decaying noise tail.
 
     The tail envelope is ``exp(-n / (decay_ms/1000 * sample_rate))`` and
-    its total energy is normalized to ``tail_db`` relative to the direct
+    its total energy is normalized to ``TAIL_DB`` relative to the direct
     tap.
     """
     if len_taps < 1:
         raise ValueError(f"len_taps must be >= 1, got {len_taps}")
     if not 0 <= decay_ms < math.inf:
         raise ValueError(f"decay_ms must be >= 0 and finite, got {decay_ms}")
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     rir = np.zeros(len_taps)
     rir[0] = 1.0
     if len_taps > 1 and decay_ms > 0:
@@ -88,7 +92,7 @@ def gen_rir(decay_ms: float, len_taps: int, seed: int, sample_rate: int,
         tail = np.random.default_rng(seed).standard_normal(len_taps - 1) * np.exp(-n / tau)
         energy = float(np.sum(tail * tail))
         if energy > 0:
-            tail *= math.sqrt(10.0 ** (tail_db / 10.0) / energy)
+            tail *= math.sqrt(10.0 ** (TAIL_DB / 10.0) / energy)
         rir[1:] = tail
     return rir
 
@@ -140,8 +144,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
                     delay_range: tuple[int, int] = (0, 4000),
                     gain_range: tuple[float, float] = (0.05, 0.5),
                     max_decay_ms: float = 50.0,
-                    snr_range_db: tuple[float, float] = (0.0, 20.0),
-                    anechoic_fraction: float = 0.25) -> tuple[Path, Path]:
+                    snr_range_db: tuple[float, float] = (0.0, 20.0)) -> tuple[Path, Path]:
     """Write a ready-to-run corpus: WAVs, segment manifest, and truth file.
 
     Returns ``(manifest_path, truth_path)``. The truth file is JSONL with
@@ -161,8 +164,6 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
             raise ValueError(f"{name} must be finite with {rule}, got {(low, high)}")
     if not 0 <= max_decay_ms < math.inf:
         raise ValueError(f"max_decay_ms must be >= 0 and finite, got {max_decay_ms}")
-    if not 0 <= anechoic_fraction <= 1:
-        raise ValueError(f"anechoic_fraction must be in [0, 1], got {anechoic_fraction}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -176,7 +177,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
             delay = int(rng.integers(delay_range[0], delay_range[1] + 1))
             gain = float(rng.uniform(*gain_range))
             snr_db = float(rng.uniform(*snr_range_db))
-            anechoic = max_decay_ms <= 0 or bool(rng.random() < anechoic_fraction)
+            anechoic = max_decay_ms <= 0 or bool(rng.random() < ANECHOIC_FRACTION)
             decay_ms = 0.0 if anechoic else float(
                 rng.uniform(min(10.0, max_decay_ms), max_decay_ms)
             )

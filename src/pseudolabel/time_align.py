@@ -79,16 +79,12 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     corr = np.fft.irfft(cross / np.maximum(mag, floor), n)
 
     # lag m lives at index m mod n; gather [-max_lag, max_lag] in order
-    window = np.concatenate((corr[n - max_lag :], corr[: max_lag + 1])) if max_lag else corr[:1]
+    window = np.concatenate((corr[n - max_lag :], corr[: max_lag + 1]))
     idx = int(np.argmax(window))
     offset = idx - max_lag
     peak = float(window[idx])
-    if window.size > 1:
-        rest = np.delete(window, idx)
-        second = float(rest.max())
-        ratio = peak / second if second > 0.0 else math.inf
-    else:
-        ratio = math.inf
+    second = float(np.delete(window, idx).max(initial=0.0))
+    ratio = peak / second if second > 0.0 else math.inf
 
     refined = None
     if 0 < idx < window.size - 1:

@@ -17,22 +17,7 @@ from pseudolabel.audio_io import (
     read_wav,
     write_wav,
 )
-
-
-def raw_wav_bytes(payload: bytes, fmt_tag: int, n_ch: int, rate: int, bits: int, *,
-                  extensible: bool = False, pre_data: bytes = b"", data_size: int | None = None,
-                  ) -> bytes:
-    """A RIFF/WAVE file; ``pre_data`` goes between ``fmt `` and ``data``, and
-    ``data_size`` overrides the declared ``data`` size."""
-    block = n_ch * bits // 8
-    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_tag, n_ch, rate, rate * block,
-                      block, bits)
-    if extensible:  # cbSize, valid bits, channel mask, then the real tag leads the GUID
-        fmt += struct.pack("<HHIH", 22, bits, 0, fmt_tag) + bytes(14)
-    size = len(payload) if data_size is None else data_size
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + pre_data
-    body += b"data" + struct.pack("<I", size) + payload
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+from rawwav import raw_wav_bytes
 
 
 def with_fmt_size(blob: bytes, size: int) -> bytes:
@@ -140,13 +125,8 @@ class TestWavFixtures:
 
     def test_extensible_fmt_chunk(self, tmp_path):
         samples = np.array([0, 16384], dtype="<i2")
-        ext = struct.pack("<HHIIHH", 0xFFFE, 1, 16000, 32000, 2, 16)
-        ext += struct.pack("<HHI", 22, 16, 0x4)
-        ext += struct.pack("<H", 1) + b"\x00\x00" + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(ext)) + ext
-        body += b"data" + struct.pack("<I", len(samples.tobytes())) + samples.tobytes()
         path = tmp_path / "ext.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        path.write_bytes(raw_wav_bytes(samples.tobytes(), 1, 1, 16000, 16, extensible=True))
         back = read_wav(path).channels[0]
         np.testing.assert_allclose(back, [0.0, 0.5])
 
@@ -182,10 +162,9 @@ class TestWavFixtures:
         assert str(exc.value) == f"{path}: {message}"
 
     def test_missing_data_chunk(self, tmp_path):
-        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
-        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        blob = raw_wav_bytes(b"", 1, 1, 16000, 16)[:-8]  # without the empty data chunk
         path = tmp_path / "nd.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        path.write_bytes(blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:])
         with pytest.raises(WavFormatError, match="data"):
             read_wav(path)
 

@@ -21,6 +21,7 @@ from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
 from pseudolabel.pipeline import filter_pairs
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
+from rawwav import raw_wav_bytes
 
 
 def wav_of(tmp_path, name, samples, rate=16000):
@@ -79,12 +80,8 @@ def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
 
 def float64_wav_of(tmp_path, name, samples, rate=16000) -> str:
     """A mono float64 WAV, which ``write_wav`` does not write."""
-    payload = np.asarray(samples, dtype="<f8").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 8, 8, 64)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
     path = tmp_path / name
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    path.write_bytes(raw_wav_bytes(np.asarray(samples, dtype="<f8").tobytes(), 3, 1, rate, 64))
     return str(path)
 
 
@@ -104,10 +101,8 @@ def test_two_wav_commands_reject_an_overflow(tmp_path, capsys, command):
 
 def empty_wav_of(tmp_path, name) -> str:
     """A float32 WAV with an empty ``data`` chunk, which ``write_wav`` refuses to write."""
-    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 0)
     path = tmp_path / name
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    path.write_bytes(raw_wav_bytes(b"", 3, 1, 16000, 32))
     return str(path)
 
 
@@ -261,6 +256,22 @@ class TestIamCommand:
         mask = load_grid(out)
         assert mask.ndim == 2
         assert mask.min() >= 0.0 and mask.max() <= 2.0
+
+    def test_silent_mixture_is_bad_input(self, tmp_path, capsys):
+        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
+        silent = wav_of(tmp_path, "silent.wav", np.zeros(8000))
+        out = tmp_path / "mask.grid"
+        assert main(["iam", c, silent, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "iam: mixture grid is all-zero\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_clip_max_is_checked_before_either_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.wav")
+        assert main(["iam", missing, missing, "-o", str(tmp_path / "m.grid"),
+                     "--clip-max", "0"]) == 2
+        assert capsys.readouterr().err == "pseudolabel iam: clip_max must be positive, got 0.0\n"
 
     def test_nan_clip_max_is_usage_error(self, tmp_path, capsys):
         c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))

@@ -22,21 +22,10 @@ from pseudolabel import (AudioClip, ManifestError, PseudoLabelRecord, SegmentRec
                          WavFormatError, parse_segments, read_results, read_wav, write_results,
                          write_wav)
 from pseudolabel.pipeline import read_pair
+from rawwav import raw_wav_bytes
 
 SEED = 11
 PER_KIND = 50  # 4 WAV kinds and 2 text kinds: 300 inputs
-
-
-def _raw_wav(payload: bytes, tag: int, n_ch: int, bits: int, *, extensible: bool = False,
-             pre_data: bytes = b"") -> bytes:
-    block = n_ch * bits // 8
-    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, n_ch, 16000, 16000 * block,
-                      block, bits)
-    if extensible:  # cbSize, valid bits, channel mask, then the real tag leads the GUID
-        fmt += struct.pack("<HHIH", 22, bits, 0, tag) + bytes(14)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + pre_data
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def _wav_bases(rng, tmp_path) -> list[bytes]:
@@ -47,10 +36,11 @@ def _wav_bases(rng, tmp_path) -> list[bytes]:
         write_wav(path, AudioClip(rng.uniform(-0.9, 0.9, (n_ch, 300)), 16000), encoding)
         bases.append(path.read_bytes())
     samples = rng.uniform(-0.9, 0.9, 300)
-    bases.append(_raw_wav(samples.astype("<f8").tobytes(), 3, 1, 64))
-    bases.append(_raw_wav((samples * 2**15).astype("<i2").tobytes(), 1, 1, 16, extensible=True))
-    bases.append(_raw_wav(samples.astype("<f4").tobytes(), 3, 1, 32,
-                          pre_data=b"LIST" + struct.pack("<I", 4) + b"INFO"))
+    bases.append(raw_wav_bytes(samples.astype("<f8").tobytes(), 3, 1, 16000, 64))
+    bases.append(raw_wav_bytes((samples * 2**15).astype("<i2").tobytes(), 1, 1, 16000, 16,
+                               extensible=True))
+    bases.append(raw_wav_bytes(samples.astype("<f4").tobytes(), 3, 1, 16000, 32,
+                               pre_data=b"LIST" + struct.pack("<I", 4) + b"INFO"))
     return bases
 
 
@@ -164,7 +154,7 @@ def test_wav_inputs_are_read_or_rejected(tmp_path, kind):
 def test_a_signalling_nan_reads_as_nan_without_a_warning(tmp_path, dtype, bits):
     payload = np.array([0, bits, 0], dtype=dtype).tobytes()
     path = tmp_path / "snan.wav"
-    path.write_bytes(_raw_wav(payload, 3, 1, 8 * np.dtype(dtype).itemsize))
+    path.write_bytes(raw_wav_bytes(payload, 3, 1, 16000, 8 * np.dtype(dtype).itemsize))
     assert _outcome(lambda p: read_pair(p, p), path) == "ValueError"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

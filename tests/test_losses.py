@@ -160,11 +160,15 @@ class TestIamTarget:
         with pytest.raises(ValueError, match="clip_max must be positive, got nan"):
             iam_target(np.ones((2, 2)), np.ones((2, 2)), clip_max=math.nan)
 
-    def test_all_zero_mixture_clips_every_live_cell(self):
-        # The divisor's floor falls back to the smallest normal float.
+    def test_all_zero_mixture_is_rejected(self):
+        # No floor gives a mask here: |S| / tiny overflows for any |S| above about 4.
         S = np.array([[0.0, 0.5], [1.0, 0.25]])
-        np.testing.assert_array_equal(iam_target(S, np.zeros((2, 2)), clip_max=2.0),
-                                      [[0.0, 2.0], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="^mixture grid is all-zero$"):
+            iam_target(S, np.zeros((2, 2)))
+
+    def test_divisor_floor_is_relative_to_the_peak(self):
+        mask = iam_target(np.array([[0.5, 1e-13]]), np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(mask, [[0.5, 0.1]], rtol=1e-12)
 
 
 class TestStackFeatures:

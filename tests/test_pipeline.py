@@ -3,8 +3,8 @@ import datetime
 import json
 import math
 import platform
-import struct
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,6 +24,7 @@ from pseudolabel.pipeline import (
 from pseudolabel import PseudoLabelRecord
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
 from pseudolabel import parse_segments
+from rawwav import raw_wav_bytes
 
 
 def write_scenario(tmp_path, name, delay=160, gain=0.5, snr_db=10.0, seconds=3.0, seed=0):
@@ -37,15 +38,6 @@ def write_scenario(tmp_path, name, delay=160, gain=0.5, snr_db=10.0, seconds=3.0
     seg = SegmentRecord(name, "spk", 0.0, far.size / 16000, str(close_path), str(far_path))
     gt_snr = 10 * math.log10(np.sum(direct**2) / np.sum((far - direct) ** 2)) if math.isfinite(snr_db) else math.inf
     return seg, gt_snr
-
-
-def write_float64_wav(path, samples, rate=16000):
-    """A mono float64 WAV, which ``write_wav`` does not write."""
-    payload = np.asarray(samples, dtype="<f8").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 8, 8, 64)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 class TestRunTls:
@@ -120,6 +112,27 @@ class TestRunTls:
             assert a.snr_db == b.snr_db
             assert a.kept == b.kept
             assert a.status == b.status
+
+    def test_pool_is_never_larger_than_the_manifest(self, tmp_path, monkeypatch):
+        segs = [write_scenario(tmp_path, f"p{i}", seed=60 + i)[0] for i in range(2)]
+        opened = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        out = str(tmp_path / "out")  # one directory, so output_path compares equal too
+        pooled = run_tls(segs, PipelineConfig(worker_count=8, output_dir=out))
+        assert opened == [2]
+        serial = run_tls(segs, PipelineConfig(worker_count=1, output_dir=out))
+        run_tls(segs[:1], PipelineConfig(worker_count=8, output_dir=out))
+        run_tls([], PipelineConfig(worker_count=8, output_dir=out))
+        assert opened == [2]  # one worker or one segment: no pool
+        strip = lambda rec: record_to_dict(rec) | {"processed_at": ""}
+        assert [strip(r) for r in pooled] == [strip(r) for r in serial]
+        assert [r.status for r in serial] == ["ok", "ok"]
 
     def test_multichannel_reference_uses_first_channel(self, tmp_path):
         seg, gt_snr = write_scenario(tmp_path, "mc", delay=120, snr_db=12.0, seed=40)
@@ -207,7 +220,7 @@ class TestRunTls:
         segs = []
         for scale in (1e300, 1e200, 1e-310):
             path = tmp_path / f"far_{scale:g}.wav"
-            write_float64_wav(path, far * scale)
+            path.write_bytes(raw_wav_bytes((far * scale).astype("<f8").tobytes(), 3, 1, 16000, 64))
             segs.append(dataclasses.replace(good, speaker_id=f"{scale:g}", farfield_path=str(path)))
         # pytest makes a warning an error, which would fail these rows at any
         # revision; record warnings instead, and expect none.

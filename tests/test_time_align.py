@@ -100,6 +100,8 @@ class TestGccPhat:
         s1, y = delayed_pair(delay=160, seed=6)
         res = gcc_phat(s1, y, max_lag=max_lag)
         assert res.offset_samples == -max_lag and res.refined_offset is None
+        if max_lag == 0:  # a one-lag window has no second peak
+            assert res.peak_ratio == math.inf
 
     def test_peak_ratio_at_least_one(self):
         for seed in range(5):
