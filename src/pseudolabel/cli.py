@@ -49,6 +49,7 @@ _RUN_HELP = {
     "workers": "parallel worker processes",
     "taps": "filter taps per frequency bin",
     "xi": "weight floor coefficient",
+    "window": "window kind: " + ", ".join(WINDOW_KINDS),
 }
 
 
@@ -100,7 +101,7 @@ def parse_config_file(path) -> dict:
 def _add_field_flag(parser, key: str, **kwargs) -> None:
     """Add ``--key`` typed like the default of the config field it sets."""
     parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key],
-                        choices=WINDOW_KINDS if key == "window" else None, **kwargs)
+                        **kwargs)
 
 
 def _defaults(func) -> dict:
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     iam.add_argument("-o", "--out", required=True, help="output grid file")
     iam.add_argument("--clip-max", type=float, default=_defaults(iam_target)["clip_max"])
     for key in ("n_fft", "hop", "window"):
-        _add_field_flag(iam, key, default=_field_default(key))
+        _add_field_flag(iam, key, default=_field_default(key), help=_RUN_HELP.get(key))
 
     return parser
 
@@ -166,9 +167,9 @@ def _cmd_run(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in _CONFIG_TYPES
                   if getattr(args, key) is not None)
-    manifest_path, out_dir = values.get("manifest"), values.get("out")
-    if not manifest_path or not out_dir:
-        raise ValueError("--manifest and --out are required (flag or config file)")
+    manifest_path = values.get("manifest")
+    if not manifest_path:
+        raise ValueError("--manifest is required (flag or config file)")
     # Only the keys set above reach the constructors; the dataclasses supply
     # every other default.
     fields = {StftConfig: {}, MflfConfig: {}, PipelineConfig: {}}
@@ -184,7 +185,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         raise _BadInput(f"cannot read manifest: {exc}") from exc
     records = run_tls(manifest, pipe_cfg)
-    results_path = Path(out_dir) / "results.jsonl"
+    results_path = Path(pipe_cfg.output_dir) / "results.jsonl"
     write_results(records, results_path)
     kept = sum(1 for r in records if r.kept)
     failed = sum(1 for r in records if r.status != "ok")
@@ -241,10 +242,8 @@ def _cmd_iam(args) -> int:
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
     with _input_faults():
         clean, mixture, _ = read_pair(args.clean, args.mixture)
-        mag_clean = np.abs(stft(clean, cfg).data)
-        mag_mix = np.abs(stft(mixture, cfg).data)
-        n = min(len(mag_clean), len(mag_mix))
-        mask = iam_target(mag_clean[:n], mag_mix[:n], clip_max=args.clip_max)
+        mask = iam_target(np.abs(stft(clean, cfg).data), np.abs(stft(mixture, cfg).data),
+                          clip_max=args.clip_max)
     gridio.save_grid(args.out, mask)
     print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
     return 0

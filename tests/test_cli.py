@@ -15,7 +15,7 @@ import pseudolabel
 from pseudolabel import PipelineConfig
 from pseudolabel.audio_io import AudioClip, read_wav, write_wav
 from pseudolabel.cli import build_parser, main, parse_config_file
-from pseudolabel.dsp import StftConfig
+from pseudolabel.dsp import WINDOW_KINDS, StftConfig, stft
 from pseudolabel.gridio import MAGIC, load_grid, save_grid
 from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
@@ -256,6 +256,21 @@ class TestIamCommand:
         mask = load_grid(out)
         assert mask.ndim == 2
         assert mask.min() >= 0.0 and mask.max() <= 2.0
+        mag_c, mag_m = (np.abs(stft(read_wav(p).channels[0], StftConfig()).data) for p in (c, m))
+        np.testing.assert_array_equal(mask, iam_target(mag_c, mag_m, clip_max=2.0))
+
+    # A kept segment against the longer session file it was cut from is two
+    # grid shapes, as for mca; no crop picks a part of the longer one.
+    def test_two_lengths_are_bad_input(self, tmp_path, capsys):
+        clean = speech_like(1.0, 16000, 3)
+        c = wav_of(tmp_path, "c.wav", clean[:8000])
+        m = wav_of(tmp_path, "m.wav", clean)
+        out = tmp_path / "mask.grid"
+        assert main(["iam", c, m, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "iam: shape mismatch: (33, 257) vs (64, 257)\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_silent_mixture_is_bad_input(self, tmp_path, capsys):
         c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
@@ -367,10 +382,34 @@ class TestSimulateAndRun:
         assert capsys.readouterr().err.strip() == "run: bad manifest: line 1: not UTF-8 text"
         assert not out_dir.exists()
 
-    def test_missing_required_flags(self, tmp_path, capsys):
+    def test_missing_required_flags(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["run"]) == 2
         assert capsys.readouterr().err == \
-               "pseudolabel run: --manifest and --out are required (flag or config file)\n"
+               "pseudolabel run: --manifest is required (flag or config file)\n"
+        assert not any(tmp_path.iterdir())
+
+    # StftConfig alone checks the window kind, so a flag and a config file
+    # fail with one line, before anything is read or written.
+    @pytest.mark.parametrize("command", ["run", "iam"])
+    def test_bad_window_is_the_config_files_one_line(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.cfg").write_text("window = foo\n")
+        assert main(["run", "--config", "w.cfg", "--manifest", "m"]) == 2
+        from_file = capsys.readouterr().err
+        assert from_file == ("pseudolabel run: unsupported window kind 'foo'; "
+                             f"expected one of {WINDOW_KINDS}\n")
+        argv = {"run": ["run", "--manifest", "m"],
+                "iam": ["iam", "c.wav", "m.wav", "-o", "mask.grid"]}[command]
+        assert main(argv + ["--window", "foo"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == from_file.replace("run:", f"{command}:")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["w.cfg"]
+        assert main([command, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert all(kind in help_text for kind in WINDOW_KINDS)
 
     def test_output_dir_that_is_a_file_is_input_error(self, tmp_path, capsys):
         (tmp_path / "m.jsonl").write_text("")
@@ -508,6 +547,16 @@ class TestRunConfig:
     def test_dataclasses_supply_every_default(self, run_configs):
         assert main(["run", "--manifest", "m.jsonl", "--out", "o"]) == 0
         assert run_configs == [PipelineConfig(output_dir="o", worker_count=1)]
+
+    # An unset out resolves like every other key: flag, then file, then
+    # PipelineConfig.output_dir, under the working directory.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_falls_back_to_the_dataclass_default(self, tmp_path, run_configs, source):
+        (tmp_path / "p.cfg").write_text("manifest = m.jsonl\n")
+        argv = {"flag": ["--manifest", "m.jsonl"], "config": ["--config", "p.cfg"]}[source]
+        assert main(["run"] + argv) == 0
+        assert run_configs == [PipelineConfig()]
+        assert (tmp_path / PipelineConfig.output_dir / "results.jsonl").is_file()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_each_field_set_by_exactly_one_key(self, tmp_path, run_configs, source):
