@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -83,7 +84,8 @@ def parse_config_file(path) -> dict:
         raise ValueError(f"cannot read config file: {exc}") from exc
     values: dict = {}
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # "#" opens a comment at a line's start or after whitespace, never inside a value
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

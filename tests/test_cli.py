@@ -458,6 +458,15 @@ class TestConfigFile:
         assert values == {"n_fft": 256, "hop": 128, "window": "hann",
                           "snr_threshold_db": -5.0, "workers": 2}
 
+    # A "#" opens a comment only at the start of a line or after whitespace.
+    def test_hash_inside_a_value_is_part_of_it(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("  # indented comment\n"
+                       "out = /data/run#3\t# tab before the comment\n"
+                       "manifest = /data/take#2/m.jsonl\n")
+        assert parse_config_file(cfg) == {"out": "/data/run#3",
+                                          "manifest": "/data/take#2/m.jsonl"}
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("volume = 11\n")
