@@ -182,6 +182,8 @@ def _encode(samples: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
     inter = samples.T.ravel()
     if encoding == "float32":
         return inter.astype("<f4").tobytes(), 3, 32
+    if np.isnan(inter).any():  # an integer has no NaN; the cast would make one up
+        raise ValueError(f"cannot write a NaN sample as {encoding}")
     bits = int(encoding[3:])
     full = 2.0 ** (bits - 1)
     q = np.clip(np.round(inter * full), -full, full - 1).astype("<i4") << (32 - bits)
@@ -189,7 +191,11 @@ def _encode(samples: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
 
 
 def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
-    """Write a clip as a RIFF/WAVE file in the given encoding."""
+    """Write a clip as a RIFF/WAVE file in the given encoding.
+
+    A PCM encoding clips each sample to full scale and rejects a NaN before
+    anything is written; float32 writes NaN and inf as they are.
+    """
     if clip.n_samples == 0:
         raise ValueError("refusing to write an empty clip")
     payload, tag, bits = _encode(clip.samples, encoding)

@@ -79,6 +79,14 @@ class TestWavRoundTrip:
         with pytest.raises(ValueError, match="encoding"):
             write_wav(tmp_path / "x.wav", AudioClip(np.zeros(10), 16000), "mp3")
 
+    @pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "pcm32"])
+    def test_nan_in_a_pcm_encoding_rejected_before_writing(self, tmp_path, encoding):
+        x = np.array([0.5, np.nan, -0.5])
+        path = tmp_path / "nan.wav"
+        with pytest.raises(ValueError, match=f"^cannot write a NaN sample as {encoding}$"):
+            write_wav(path, AudioClip(x, 16000), encoding)
+        assert not path.exists()
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_wav(tmp_path / "missing_dir" / "x.wav", AudioClip(np.zeros(10), 16000))
