@@ -83,8 +83,9 @@ def filter_pairs(records: list[PseudoLabelRecord],
 
 
 _ROW_FIELDS = [f.name for f in fields(PseudoLabelRecord) if f.name != "segment"]
-_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-                    type(None): "null"}
+# A float is finite in JSON; record_to_dict writes an infinity as "inf" or "-inf".
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: 'a finite number, "inf", "-inf"',
+                    str: "a string", type(None): "null"}
 
 
 def _json_rule(hint) -> tuple[set, str]:
@@ -216,7 +217,10 @@ def record_from_dict(obj: dict) -> PseudoLabelRecord:
     row = {name: obj[name] for name in _ROW_FIELDS if name in obj}
     for name, value in row.items():
         types, names = _ROW_RULES[name]
-        if type(value) not in types and not (name == "snr_db" and value in ("inf", "-inf")):
+        if name == "snr_db" and value in ("inf", "-inf"):
+            continue
+        # Python's json reads NaN, Infinity and -Infinity as floats; no row holds one.
+        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
             raise ValueError(f"{name} must be {names}, got {json.dumps(value)}")
     rec = PseudoLabelRecord(segment, **row)
     if rec.snr_db is not None:
