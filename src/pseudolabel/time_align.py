@@ -44,8 +44,10 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     """Phase-transform cross-correlation peak over lags in [-max_lag, max_lag].
 
     The cross spectrum is whitened by its own magnitude (floored at
-    1e-12 times the largest cross-spectral magnitude), which makes the
-    estimate insensitive to spectral coloration and overall scale.
+    1e-12 times the largest cross-spectral magnitude, or at the smallest
+    normal float where that underflows), which makes the estimate
+    insensitive to spectral coloration and overall scale. A cross
+    spectrum that underflows to all zeros raises ``ValueError``.
     ``refined_offset`` is a parabolic-interpolation peak estimate for
     diagnostics, ``None`` when the peak sits at an edge of the lag window;
     the integer offset does not use it.
@@ -73,8 +75,11 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     n = _fft_len(max(max(s1.size, y.size) + max_lag + 1, 2 * max_lag + 2))
     cross = np.fft.rfft(s1, n) * np.conj(np.fft.rfft(y, n))
     mag = np.abs(cross)
-    floor = 1e-12 * mag.max()
-    if floor <= 0.0:
+    peak_mag = mag.max()
+    if peak_mag == 0.0:  # every lag would tie at 0, and argmax would pick the first
+        raise ValueError("gcc_phat cross spectrum underflows to zero")
+    floor = 1e-12 * peak_mag
+    if floor <= 0.0:  # a subnormal peak: 1e-12 of it underflows
         floor = np.finfo(np.float64).tiny
     corr = np.fft.irfft(cross / np.maximum(mag, floor), n)
 

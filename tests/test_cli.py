@@ -99,6 +99,18 @@ def test_two_wav_commands_reject_an_overflow(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+# A pair scaled by 1e-165 underflows the cross spectrum to all zeros; align
+# fails instead of printing the window's first lag as the offset.
+def test_align_rejects_an_underflowing_pair(tmp_path, capsys):
+    x = speech_like(2.0, 16000, 0)
+    a = float64_wav_of(tmp_path, "a.wav", 1e-165 * x)
+    b = float64_wav_of(tmp_path, "b.wav", 1e-165 * np.concatenate((np.zeros(120), x))[: x.size])
+    assert main(["align", a, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "align: gcc_phat cross spectrum underflows to zero\n"
+    assert captured.out == ""
+
+
 def empty_wav_of(tmp_path, name) -> str:
     """A float32 WAV with an empty ``data`` chunk, which ``write_wav`` refuses to write."""
     path = tmp_path / name

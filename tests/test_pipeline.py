@@ -236,6 +236,21 @@ class TestRunTls:
             assert not rec.kept and rec.offset_samples is None and rec.snr_db is None
         assert records[3].kept and records[3].offset_samples == -100
 
+    # Both files scaled by 1e-165: their cross spectrum underflows to all zeros,
+    # and the row fails at gcc_phat rather than aligning to the window's edge.
+    def test_underflowing_pair_fails_at_gcc_phat(self, tmp_path):
+        seg, _ = write_scenario(tmp_path, "u", delay=120, seed=97)
+        paths = {}
+        for side in ("close_talk_path", "farfield_path"):
+            x = read_wav(getattr(seg, side)).channels[0]
+            paths[side] = tmp_path / f"tiny_{side}.wav"
+            paths[side].write_bytes(raw_wav_bytes((1e-165 * x).astype("<f8").tobytes(), 3, 1,
+                                                  16000, 64))
+        seg = dataclasses.replace(seg, **{side: str(path) for side, path in paths.items()})
+        [rec] = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
+        assert rec.status == "error: gcc_phat cross spectrum underflows to zero"
+        assert not rec.kept and rec.offset_samples is None
+
     # At the default +-0.5 s window (8000 samples at 16 kHz) gcc_phat needs
     # more than 8001 samples between the two cuts: 0.24 s is 2 x 3840, 0.26 s
     # is 2 x 4160.

@@ -46,6 +46,11 @@ class TestGenNoise:
         with pytest.raises(ValueError):
             gen_noise("brown", 100, 0)
 
+    # One sample of pink noise is its DC bin, which the 1/sqrt(f) shaping zeroes.
+    def test_one_pink_sample_is_a_degenerate_draw(self):
+        with pytest.raises(ValueError, match="^degenerate noise draw$"):
+            gen_noise("pink", 1, 0)
+
     @pytest.mark.parametrize("length", [0, -5])
     def test_bad_length(self, length):
         with pytest.raises(ValueError, match="length must be >= 1"):
@@ -175,6 +180,10 @@ class TestSpeechLike:
     def test_peak_normalized(self):
         x = speech_like(2.0, 16000, 17)
         assert np.max(np.abs(x)) == pytest.approx(0.5)
+
+    def test_one_sample_is_a_degenerate_draw(self):
+        with pytest.raises(ValueError, match="^degenerate noise draw$"):
+            speech_like(1 / 16000, 16000, 0)
 
     @pytest.mark.parametrize("duration_s, sample_rate", [(0.0, 16000), (1e-5, 16000), (1.0, 0)])
     def test_too_short_rejected(self, duration_s, sample_rate):

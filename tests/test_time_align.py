@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pseudolabel.synth import speech_like
 from pseudolabel.time_align import _fft_len, apply_shift, gcc_phat
 
 
@@ -114,6 +115,24 @@ class TestGccPhat:
             gcc_phat(np.zeros(1000), x, max_lag=100)
         with pytest.raises(ValueError, match="energy"):
             gcc_phat(x, np.zeros(1000), max_lag=100)
+
+    # Signals so small that the product of their spectra underflows: at 1e-165
+    # every cross-spectral cell is 0 and there is no peak to find; at 1e-160
+    # the peak is subnormal, 1e-12 of it underflows, and the floor falls back
+    # to the smallest normal float.
+    def test_underflowing_cross_spectrum_rejected(self):
+        x = speech_like(2.0, 16000, 0)
+        y = np.concatenate((np.zeros(120), x))[: x.size]
+        with pytest.raises(ValueError, match="^gcc_phat cross spectrum underflows to zero$"):
+            gcc_phat(1e-165 * x, 1e-165 * y, max_lag=8000)
+
+    def test_subnormal_peak_keeps_the_offset(self):
+        x = speech_like(2.0, 16000, 0)
+        y = np.concatenate((np.zeros(120), x))[: x.size]
+        n = _fft_len(x.size + 8001)
+        peak = np.abs(np.fft.rfft(1e-160 * x, n) * np.conj(np.fft.rfft(1e-160 * y, n))).max()
+        assert 0.0 < peak and 1e-12 * peak == 0.0  # the floor's fallback is taken
+        assert gcc_phat(1e-160 * x, 1e-160 * y, max_lag=8000).offset_samples == -120
 
     def test_negative_max_lag_rejected(self):
         x = np.random.default_rng(8).standard_normal(500)
