@@ -102,8 +102,7 @@ def parse_config_file(path) -> dict:
 
 def _add_field_flag(parser, key: str, **kwargs) -> None:
     """Add ``--key`` typed like the default of the config field it sets."""
-    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key],
-                        **kwargs)
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key], **kwargs)
 
 
 def _defaults(func) -> dict:
