@@ -2,7 +2,7 @@
 
 Turns paired close-talk / far-field recordings into time- and
 level-aligned, SNR-filtered signal-level training targets, and provides
-the loss and feature math needed to train enhancement models on the
+the loss and mask-target math needed to train enhancement models on the
 resulting pairs.
 """
 
@@ -33,16 +33,16 @@ from .level_align import (
     solve_mflf,
     stack_frames,
 )
-from .losses import McaReport, iam_target, mca_grad, mca_loss, stack_features
+from .losses import McaReport, iam_target, mca_grad, mca_loss
 from .pipeline import (
     PipelineConfig,
     PseudoLabelRecord,
+    estimate_snr,
     filter_pairs,
     read_results,
     run_tls,
     write_results,
 )
-from .snr_filter import estimate_snr
 from .synth import SynthScenario, gen_noise, gen_rir, simulate_corpus, speech_like, synth_pair
 from .time_align import AlignmentResult, apply_shift, gcc_phat
 
@@ -87,7 +87,6 @@ __all__ = [
     "simulate_corpus",
     "solve_mflf",
     "speech_like",
-    "stack_features",
     "stack_frames",
     "stft",
     "synth_pair",

@@ -26,8 +26,7 @@ from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
 from .losses import _check_alpha, _check_clip_max, iam_target, mca_loss
-from .pipeline import PipelineConfig, read_pair, run_tls, write_results
-from .snr_filter import estimate_snr
+from .pipeline import PipelineConfig, estimate_snr, read_pair, run_tls, write_results
 from .synth import simulate_corpus
 from .time_align import gcc_phat
 
@@ -222,9 +221,8 @@ def _cmd_align(args) -> int:
         close, reference, rate = read_pair(args.close, args.reference)
         result = gcc_phat(close, reference, max_lag=int(round(args.max_lag_s * rate)))
     offset_s = result.offset_samples / rate
-    refined = "" if result.refined_offset is None else f" refined_offset={result.refined_offset:.3f}"
     print(f"offset_samples={result.offset_samples} offset_s={offset_s:.6f} "
-          f"peak_value={result.peak_value:.6g} peak_ratio={result.peak_ratio:.6g}{refined}")
+          f"peak_value={result.peak_value:.6g} peak_ratio={result.peak_ratio:.6g}")
     return 0
 
 

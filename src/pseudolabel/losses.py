@@ -1,5 +1,5 @@
-"""Training-side math: MCA loss with analytic gradient, ideal amplitude
-mask targets, and input feature stacking.
+"""Training-side math: MCA loss with analytic gradient and ideal
+amplitude mask targets.
 
 The MCA loss combines elementwise mean-squared error with an adjustable
 cosine-similarity penalty on two magnitude grids:
@@ -96,19 +96,3 @@ def iam_target(mag_S, mag_Y, clip_max: float = 2.0) -> np.ndarray:
         raise ValueError("mixture grid is all-zero")
     floor = max(1e-12 * float(Y.max()), np.finfo(np.float64).tiny)
     return np.minimum(S / np.maximum(Y, floor), clip_max)
-
-
-def stack_features(gss_mag, array_mags) -> np.ndarray:
-    """Stack reference and array magnitudes along a leading channel axis.
-
-    Channel 0 is the enhanced reference; channels 1..C keep the array
-    channel order.
-    """
-    ref = _as_grid(gss_mag)
-    grids = [ref]
-    for i, m in enumerate(array_mags):
-        g = _as_grid(m)
-        if g.shape != ref.shape:
-            raise ValueError(f"array channel {i} shape {g.shape} != reference {ref.shape}")
-        grids.append(g)
-    return np.stack(grids, axis=0)

@@ -24,7 +24,6 @@ from .audio_io import AudioClip, SegmentRecord, _read_jsonl, read_wav, write_wav
 from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
-from .snr_filter import estimate_snr
 from .time_align import apply_shift, gcc_phat
 
 
@@ -62,6 +61,27 @@ class PseudoLabelRecord:
     status: str = "ok"
     output_path: str | None = None
     processed_at: str = ""
+
+
+def estimate_snr(s3, y) -> float:
+    """``10*log10(||s3||^2 / ||s3 - y||^2)`` with infinite sentinels.
+
+    A zero residual returns ``+inf``; an all-zero estimate returns
+    ``-inf``.
+    """
+    s3 = np.asarray(s3, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if s3.shape != y.shape:
+        raise ValueError(f"length mismatch: {s3.shape} vs {y.shape}")
+    if not np.any(y):
+        raise ValueError("reference signal has zero energy")
+    num = float(np.sum(s3 * s3))
+    den = float(np.sum((s3 - y) ** 2))
+    if den == 0.0:
+        return math.inf
+    if num == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(num / den)
 
 
 def filter_pairs(records: list[PseudoLabelRecord],

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip, SegmentRecord, write_wav
-from .snr_filter import estimate_snr
+from .pipeline import estimate_snr
 
 NOISE_KINDS = ("white", "pink")
 

@@ -21,7 +21,6 @@ class AlignmentResult:
     offset_samples: int
     peak_value: float
     peak_ratio: float
-    refined_offset: float | None = None
 
 
 def _fft_len(n: int) -> int:
@@ -44,13 +43,10 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     """Phase-transform cross-correlation peak over lags in [-max_lag, max_lag].
 
     The cross spectrum is whitened by its own magnitude (floored at
-    1e-12 times the largest cross-spectral magnitude, or at the smallest
-    normal float where that underflows), which makes the estimate
-    insensitive to spectral coloration and overall scale. A cross
-    spectrum that underflows to all zeros raises ``ValueError``.
-    ``refined_offset`` is a parabolic-interpolation peak estimate for
-    diagnostics, ``None`` when the peak sits at an edge of the lag window;
-    the integer offset does not use it.
+    1e-12 times the largest cross-spectral magnitude, and never below the
+    smallest normal float), which makes the estimate insensitive to
+    spectral coloration and overall scale. A cross spectrum that
+    underflows to all zeros raises ``ValueError``.
 
     The FFT length is the smallest 5-smooth ``n`` of at least
     ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
@@ -78,9 +74,7 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     peak_mag = mag.max()
     if peak_mag == 0.0:  # every lag would tie at 0, and argmax would pick the first
         raise ValueError("gcc_phat cross spectrum underflows to zero")
-    floor = 1e-12 * peak_mag
-    if floor <= 0.0:  # a subnormal peak: 1e-12 of it underflows
-        floor = np.finfo(np.float64).tiny
+    floor = max(1e-12 * peak_mag, np.finfo(np.float64).tiny)
     corr = np.fft.irfft(cross / np.maximum(mag, floor), n)
 
     # lag m lives at index m mod n; gather [-max_lag, max_lag] in order
@@ -90,15 +84,7 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     peak = float(window[idx])
     second = float(np.delete(window, idx).max(initial=0.0))
     ratio = peak / second if second > 0.0 else math.inf
-
-    refined = None
-    if 0 < idx < window.size - 1:
-        left, mid, right = window[idx - 1], window[idx], window[idx + 1]
-        denom = left - 2.0 * mid + right
-        if denom != 0.0:
-            refined = offset + 0.5 * (left - right) / denom
-    return AlignmentResult(offset_samples=offset, peak_value=peak, peak_ratio=ratio,
-                           refined_offset=refined)
+    return AlignmentResult(offset_samples=offset, peak_value=peak, peak_ratio=ratio)
 
 
 def apply_shift(s1, offset_samples: int, target_len: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseudolabel.gridio import MAGIC, GridFormatError, load_grid, save_grid
-from pseudolabel.losses import iam_target, mca_grad, mca_loss, stack_features
+from pseudolabel.losses import iam_target, mca_grad, mca_loss
 
 
 def finite_difference_grad(A, B, alpha, step=1e-6):
@@ -169,37 +169,6 @@ class TestIamTarget:
     def test_divisor_floor_is_relative_to_the_peak(self):
         mask = iam_target(np.array([[0.5, 1e-13]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(mask, [[0.5, 0.1]], rtol=1e-12)
-
-
-class TestStackFeatures:
-    def test_no_array_channels(self):
-        g = np.random.default_rng(12).uniform(0, 1, (7, 5))
-        out = stack_features(g, [])
-        assert out.shape == (1, 7, 5)
-        np.testing.assert_array_equal(out[0], g)
-
-    def test_eight_array_channels(self):
-        rng = np.random.default_rng(13)
-        g = rng.uniform(0, 1, (6, 4))
-        arrays = [rng.uniform(0, 1, (6, 4)) for _ in range(8)]
-        out = stack_features(g, arrays)
-        assert out.shape == (9, 6, 4)
-        np.testing.assert_array_equal(out[0], g)
-        for i, a in enumerate(arrays):
-            np.testing.assert_array_equal(out[i + 1], a)
-
-    def test_permutation_tracks_input_order(self):
-        rng = np.random.default_rng(14)
-        g = rng.uniform(0, 1, (3, 3))
-        arrays = [rng.uniform(0, 1, (3, 3)) for _ in range(4)]
-        perm = [2, 0, 3, 1]
-        out = stack_features(g, [arrays[i] for i in perm])
-        for slot, src in enumerate(perm):
-            np.testing.assert_array_equal(out[slot + 1], arrays[src])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="channel 0"):
-            stack_features(np.ones((2, 2)), [np.ones((2, 3))])
 
 
 class TestGridIO:

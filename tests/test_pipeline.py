@@ -211,8 +211,8 @@ class TestRunTls:
         assert not rec.kept and rec.output_path is None
 
     # Finite far-field samples so large that their squares overflow, or so small
-    # that whitening divides by a subnormal: the row fails instead of reading ok
-    # with a -inf SNR, and numpy warns of nothing.
+    # that the reference spectrogram underflows to zero: the row fails instead of
+    # reading ok with a -inf SNR, and numpy warns of nothing.
     @pytest.mark.parametrize("workers", [1, 2])
     def test_numeric_fault_fails_that_row(self, tmp_path, workers):
         good, _ = write_scenario(tmp_path, "g", delay=100, seed=95)
@@ -231,7 +231,7 @@ class TestRunTls:
         assert caught == []
         assert [rec.status for rec in records] == [
             "error: overflow encountered in square", "error: overflow encountered in square",
-            "error: overflow encountered in divide", "ok"]
+            "error: reference spectrogram is identically zero; segment unusable", "ok"]
         for rec in records[:3]:
             assert not rec.kept and rec.offset_samples is None and rec.snr_db is None
         assert records[3].kept and records[3].offset_samples == -100

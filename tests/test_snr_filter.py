@@ -6,7 +6,7 @@ import pytest
 from pseudolabel.audio_io import SegmentRecord
 from pseudolabel import PseudoLabelRecord
 from pseudolabel.pipeline import filter_pairs
-from pseudolabel.snr_filter import estimate_snr
+from pseudolabel import estimate_snr
 
 
 def make_record(snr_db):

@@ -116,7 +116,7 @@ class TestSynthPair:
         np.testing.assert_array_equal(direct, clean)
 
     def test_noiseless_direct_equals_mixture_snr(self):
-        from pseudolabel.snr_filter import estimate_snr
+        from pseudolabel import estimate_snr
 
         clean = speech_like(1.0, 16000, 8)
         scenario = SynthScenario(delay=160, gain=0.5)
