@@ -7,7 +7,8 @@ generation). ``run`` also accepts a ``key=value`` config file; explicit
 flags override file values.
 
 Exit codes: 0 success; 1 a fault in an input file (missing, unreadable, or
-two files that cannot be compared); 2 a fault in a flag or the config.
+two files that cannot be compared), or a ``run`` whose every segment failed;
+2 a fault in a flag or the config.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import inspect
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,10 @@ def _cmd_run(args) -> int:
     discarded = len(records) - kept - failed
     print(f"{len(records)} segments: {kept} kept, {discarded} discarded, {failed} failed "
           f"-> {results_path}")
+    if records and failed == len(records):
+        status, count = Counter(r.status for r in records).most_common(1)[0]
+        raise _BadInput(f"every segment failed; most common ({count} of {failed}): "
+                        f"{status.removeprefix('error: ')}")
     return 0
 
 

@@ -132,11 +132,7 @@ def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
     for j in range(k - 1, -1, -1):
         out[j : j + n_frames] += blocks[:, j]
         norm[j : j + n_frames] += wsq[j]
-    out = out.ravel()
-    norm = norm.ravel()
-    covered = norm > norm.max() * 1e-12
-    out[covered] /= norm[covered]
-    out[~covered] = 0.0
+    out = np.divide(out, norm, out=np.zeros_like(out), where=norm > norm.max() * 1e-12).ravel()
     pad = cfg.n_fft // 2
     y = out[pad : pad + target_len]
     if y.size < target_len:

@@ -12,7 +12,6 @@ import datetime
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -221,6 +220,9 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
     workers = min(config.worker_count, len(manifest))
     if workers <= 1:
         return list(map(worker, manifest, clashes))
+    # Imported here, so a serial run never loads multiprocessing and its imports.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_retain_freed_memory) as pool:
         return list(pool.map(worker, manifest, clashes))
 

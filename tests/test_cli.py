@@ -49,12 +49,15 @@ class TestBasics:
             project = read_configuration(pyproject)["project"]
         assert project["version"] == pseudolabel.__version__
 
-    # Every listed name resolves, and every public name the package binds is
-    # listed; submodules become attributes once imported, so they are skipped.
+    # Every listed name resolves, and every public name the package binds, at
+    # import or on first access, is listed; submodules become attributes once
+    # imported, so they are skipped. A lazy name is in vars() only once read,
+    # so it is counted either way and the result does not hang on test order.
     def test_all_lists_exactly_the_public_bindings(self):
+        assert all(hasattr(pseudolabel, name) for name in pseudolabel.__all__)
         bound = {name for name, value in vars(pseudolabel).items()
                  if not name.startswith("_") and not inspect.ismodule(value)}
-        assert sorted(pseudolabel.__all__) == sorted(bound)
+        assert sorted(pseudolabel.__all__) == sorted(bound | pseudolabel._LAZY.keys())
 
 
 @pytest.mark.parametrize("command", ["snr", "align", "iam"])
@@ -385,6 +388,25 @@ class TestSimulateAndRun:
     def test_missing_manifest_is_batch_failure(self, tmp_path):
         assert main(["run", "--manifest", str(tmp_path / "no.jsonl"),
                      "--out", str(tmp_path / "o")]) == 1
+
+    # A manifest's relative paths resolve against the working directory, so
+    # run from a sibling directory every row fails; the rows are still written.
+    def test_every_row_failed_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "c1", "--count", "3", "--seed", "11",
+                     "--min-duration-s", "1.0", "--max-duration-s", "1.5"]) == 0
+        (tmp_path / "sibling").mkdir()
+        monkeypatch.chdir(tmp_path / "sibling")
+        capsys.readouterr()
+        assert main(["run", "--manifest", "../c1/manifest.jsonl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "3 segments: 0 kept, 0 discarded, 3 failed -> out/results.jsonl\n"
+        assert captured.err == ("run: every segment failed; most common (1 of 3): "
+                                "[Errno 2] No such file or directory: 'c1/s000_close.wav'\n")
+        rows = [json.loads(l) for l in Path("out/results.jsonl").read_text().splitlines()]
+        assert [row["status"][:16] for row in rows] == ["error: [Errno 2]"] * 3
+        Path("empty.jsonl").write_text("")
+        assert main(["run", "--manifest", "empty.jsonl"]) == 0  # no row, so none failed
 
     def test_infinite_manifest_end_is_bad_manifest(self, tmp_path, capsys):
         row = {"session_id": "s", "speaker_id": "a", "start_s": 0.0, "end_s": math.inf,
