@@ -23,6 +23,7 @@ from .dsp import (
     make_window,
     stft,
 )
+from .gridio import GridFormatError, load_grid, save_grid
 from .level_align import (
     FilterSet,
     MflfConfig,
@@ -32,6 +33,7 @@ from .level_align import (
     solve_mflf,
     stack_frames,
 )
+from .losses import McaReport, iam_target, mca_grad, mca_loss
 from .pipeline import (
     PipelineConfig,
     PseudoLabelRecord,
@@ -41,35 +43,10 @@ from .pipeline import (
     run_tls,
     write_results,
 )
+from .synth import SynthScenario, gen_noise, gen_rir, simulate_corpus, speech_like, synth_pair
 from .time_align import AlignmentResult, apply_shift, gcc_phat
 
 __version__ = "0.1.0"
-
-# The names of the modules ``run`` never calls, bound on first access
-# (PEP 562), so that importing the package does not load those modules.
-_LAZY = {
-    "GridFormatError": "gridio", "load_grid": "gridio", "save_grid": "gridio",
-    "McaReport": "losses", "iam_target": "losses", "mca_grad": "losses", "mca_loss": "losses",
-    "SynthScenario": "synth", "gen_noise": "synth", "gen_rir": "synth",
-    "simulate_corpus": "synth", "speech_like": "synth", "synth_pair": "synth",
-}
-
-
-def __getattr__(name: str):
-    from importlib import import_module
-
-    if name in _LAZY.values():
-        return import_module(f".{name}", __name__)
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    """The names an eager import would bind: these hooks and ``_LAZY`` aside."""
-    bound = globals().keys() - {"__dir__", "__getattr__", "_LAZY"}
-    return sorted(bound | _LAZY.keys() | set(_LAZY.values()))
 
 __all__ = [
     "AlignmentResult",

@@ -49,15 +49,12 @@ class TestBasics:
             project = read_configuration(pyproject)["project"]
         assert project["version"] == pseudolabel.__version__
 
-    # Every listed name resolves, and every public name the package binds, at
-    # import or on first access, is listed; submodules become attributes once
-    # imported, so they are skipped. A lazy name is in vars() only once read,
-    # so it is counted either way and the result does not hang on test order.
+    # Every listed name resolves, and every public name the package binds is
+    # listed; submodules become attributes once imported, so they are skipped.
     def test_all_lists_exactly_the_public_bindings(self):
-        assert all(hasattr(pseudolabel, name) for name in pseudolabel.__all__)
         bound = {name for name, value in vars(pseudolabel).items()
                  if not name.startswith("_") and not inspect.ismodule(value)}
-        assert sorted(pseudolabel.__all__) == sorted(bound | pseudolabel._LAZY.keys())
+        assert sorted(pseudolabel.__all__) == sorted(bound)
 
 
 @pytest.mark.parametrize("command", ["snr", "align", "iam"])
