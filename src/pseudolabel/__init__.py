@@ -23,7 +23,6 @@ from .dsp import (
     make_window,
     stft,
 )
-from .gridio import GridFormatError, load_grid, save_grid
 from .level_align import (
     FilterSet,
     MflfConfig,
@@ -52,7 +51,6 @@ __all__ = [
     "AlignmentResult",
     "AudioClip",
     "FilterSet",
-    "GridFormatError",
     "ManifestError",
     "McaReport",
     "MflfConfig",
@@ -75,7 +73,6 @@ __all__ = [
     "iam_target",
     "istft",
     "level_align",
-    "load_grid",
     "make_window",
     "mca_grad",
     "mca_loss",
@@ -83,7 +80,6 @@ __all__ = [
     "read_results",
     "read_wav",
     "run_tls",
-    "save_grid",
     "simulate_corpus",
     "solve_mflf",
     "speech_like",

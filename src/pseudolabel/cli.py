@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (batch pipeline), ``simulate`` (synthetic corpus),
 ``snr`` (segment SNR of two WAVs), ``align`` (offset diagnostics),
-``mca`` (loss report on two grid dumps), ``iam`` (mask target
-generation). ``run`` also accepts a ``key=value`` config file; explicit
-flags override file values.
+``mca`` (loss report on two ``.npy`` grids), ``iam`` (mask target
+generation, saved as ``.npy``). ``run`` also accepts a ``key=value``
+config file; explicit flags override file values.
 
 Exit codes: 0 success; 1 a fault in an input file (missing, unreadable, or
 two files that cannot be compared), or a ``run`` whose every segment failed;
@@ -18,12 +18,12 @@ import contextlib
 import inspect
 import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from . import gridio
 from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument("reference")
     _add_field_flag(align, "max_lag_s", default=_field_default("max_lag_s"))
 
-    mca = sub.add_parser("mca", help="loss report for two magnitude grid dumps")
+    mca = sub.add_parser("mca", help="loss report for two magnitude grids saved as .npy")
     mca.add_argument("target")
     mca.add_argument("estimate")
     mca.add_argument("--alpha", type=float, default=_defaults(mca_loss)["alpha"])
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     iam = sub.add_parser("iam", help="ideal amplitude mask target from clean + mixture WAVs")
     iam.add_argument("clean")
     iam.add_argument("mixture")
-    iam.add_argument("-o", "--out", required=True, help="output grid file")
+    iam.add_argument("-o", "--out", required=True, help="output .npy file")
     iam.add_argument("--clip-max", type=float, default=_defaults(iam_target)["clip_max"])
     for key in ("n_fft", "hop", "window"):
         _add_field_flag(iam, key, default=_field_default(key), help=_RUN_HELP.get(key))
@@ -205,7 +205,7 @@ def _cmd_simulate(args) -> int:
     manifest_path, truth_path = simulate_corpus(
         args.out, count=args.count, seed=args.seed, sample_rate=args.sample_rate,
         duration_range=(args.min_duration_s, args.max_duration_s),
-        delay_range=(0, args.max_delay),
+        delay_range=(_defaults(simulate_corpus)["delay_range"][0], args.max_delay),
         max_decay_ms=args.max_decay_ms,
         snr_range_db=(args.snr_min_db, args.snr_max_db),
     )
@@ -232,11 +232,25 @@ def _cmd_align(args) -> int:
     return 0
 
 
+def _read_grid(path) -> np.ndarray:
+    """A floating-point ``.npy`` array, mapped rather than read, so a header
+    that declares more data than the file holds fails before any allocation."""
+    try:
+        grid = np.lib.format.open_memmap(path, mode="r")
+    # Besides ValueError, numpy's header parser lets out a TypeError (an
+    # unhashable key), tokenize's error (an unclosed bracket in a 1.0 or 2.0
+    # header) and an ArithmeticError (a size past int64).
+    except (ValueError, TypeError, ArithmeticError, tokenize.TokenError) as exc:
+        raise _BadInput(f"{path}: {exc}") from exc
+    if not np.issubdtype(grid.dtype, np.floating):
+        raise _BadInput(f"{path}: expected a floating-point array, got {grid.dtype}")
+    return grid
+
+
 def _cmd_mca(args) -> int:
     _check_alpha(args.alpha)  # a flag fault, so checked outside the input-fault block
     with _input_faults():
-        report = mca_loss(gridio.load_grid(args.target), gridio.load_grid(args.estimate),
-                          alpha=args.alpha)
+        report = mca_loss(_read_grid(args.target), _read_grid(args.estimate), alpha=args.alpha)
     print(f"mse={report.mse:.12g} cossim={report.cossim_loss:.12g} "
           f"mca={report.mca:.12g} alpha={report.alpha:g}")
     return 0
@@ -249,7 +263,8 @@ def _cmd_iam(args) -> int:
         clean, mixture, _ = read_pair(args.clean, args.mixture)
         mask = iam_target(np.abs(stft(clean, cfg).data), np.abs(stft(mixture, cfg).data),
                           clip_max=args.clip_max)
-    gridio.save_grid(args.out, mask)
+    with open(args.out, "wb") as fh:  # a file object, so np.save adds no ".npy"
+        np.save(fh, mask)
     print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
     return 0
 

@@ -66,7 +66,7 @@ def estimate_snr(s3, y) -> float:
     """``10*log10(||s3||^2 / ||s3 - y||^2)`` with infinite sentinels.
 
     A zero residual returns ``+inf``; an all-zero estimate returns
-    ``-inf``.
+    ``-inf``. A NaN or infinite energy raises ``ValueError``.
     """
     s3 = np.asarray(s3, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -76,6 +76,8 @@ def estimate_snr(s3, y) -> float:
         raise ValueError("reference signal has zero energy")
     num = float(np.sum(s3 * s3))
     den = float(np.sum((s3 - y) ** 2))
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise ValueError("signal energy is not finite (a non-finite sample, or an overflow)")
     if den == 0.0:
         return math.inf
     if num == 0.0:

@@ -46,7 +46,8 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     1e-12 times the largest cross-spectral magnitude, and never below the
     smallest normal float), which makes the estimate insensitive to
     spectral coloration and overall scale. A cross spectrum that
-    underflows to all zeros raises ``ValueError``.
+    underflows to all zeros, or holds a NaN or an infinity (a non-finite
+    sample, or an overflow), raises ``ValueError``.
 
     The FFT length is the smallest 5-smooth ``n`` of at least
     ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
@@ -72,8 +73,9 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     cross = np.fft.rfft(s1, n) * np.conj(np.fft.rfft(y, n))
     mag = np.abs(cross)
     peak_mag = mag.max()
-    if peak_mag == 0.0:  # every lag would tie at 0, and argmax would pick the first
-        raise ValueError("gcc_phat cross spectrum underflows to zero")
+    if not 0.0 < peak_mag < math.inf:  # at 0 every lag would tie, and argmax picks the first
+        raise ValueError("gcc_phat cross spectrum underflows to zero" if peak_mag == 0.0
+                         else "gcc_phat cross spectrum is not finite")
     floor = max(1e-12 * peak_mag, np.finfo(np.float64).tiny)
     corr = np.fft.irfft(cross / np.maximum(mag, floor), n)
 

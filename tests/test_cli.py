@@ -2,9 +2,10 @@ import argparse
 import dataclasses
 import functools
 import inspect
+import io
 import json
 import math
-import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from pseudolabel import PipelineConfig
 from pseudolabel.audio_io import AudioClip, read_wav, write_wav
 from pseudolabel.cli import build_parser, main, parse_config_file
 from pseudolabel.dsp import WINDOW_KINDS, StftConfig, stft
-from pseudolabel.gridio import MAGIC, load_grid, save_grid
 from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
 from pseudolabel.pipeline import filter_pairs
@@ -62,13 +62,13 @@ def test_two_wav_commands_reject_differing_rates(tmp_path, capsys, command):
     x = speech_like(0.5, 16000, 0)
     a = wav_of(tmp_path, "a16k.wav", x)
     b = wav_of(tmp_path, "b8k.wav", x[::2], rate=8000)
-    extra = ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
+    extra = ["-o", str(tmp_path / "mask.npy")] if command == "iam" else []
     assert main([command, a, b] + extra) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == \
            f"{command}: sample rates differ: 16000 Hz in {a}, 8000 Hz in {b}"
     assert captured.out == ""
-    assert not (tmp_path / "mask.grid").exists()
+    assert not (tmp_path / "mask.npy").exists()
 
 
 @pytest.mark.parametrize("command", ["snr", "align", "iam"])
@@ -77,12 +77,12 @@ def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
     a = wav_of(tmp_path, "a.wav", x)
     x[x.size // 2] = np.nan
     b = wav_of(tmp_path, "b_nan.wav", x)
-    extra = ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
+    extra = ["-o", str(tmp_path / "mask.npy")] if command == "iam" else []
     assert main([command, a, b] + extra) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == f"{command}: non-finite sample in {b}"
     assert captured.out == ""
-    assert not (tmp_path / "mask.grid").exists()
+    assert not (tmp_path / "mask.npy").exists()
 
 
 def float64_wav_of(tmp_path, name, samples, rate=16000) -> str:
@@ -118,6 +118,25 @@ def test_align_rejects_an_underflowing_pair(tmp_path, capsys):
     assert captured.out == ""
 
 
+def grid_of(tmp_path, name, array) -> str:
+    path = tmp_path / name
+    np.save(path, array)
+    return str(path)
+
+
+def saved_bytes(save, *args, **kwargs) -> bytes:
+    """What ``save`` (``np.save``, ``np.savez``, a header writer) writes to a file."""
+    with io.BytesIO() as fh:
+        save(fh, *args, **kwargs)
+        return fh.getvalue()
+
+
+def npy_header(shape) -> bytes:
+    """A version 1.0 float64 ``.npy`` header declaring ``shape``, with no payload."""
+    return saved_bytes(np.lib.format.write_array_header_1_0,
+                       {"descr": "<f8", "fortran_order": False, "shape": shape})
+
+
 def empty_wav_of(tmp_path, name) -> str:
     """A float32 WAV with an empty ``data`` chunk, which ``write_wav`` refuses to write."""
     path = tmp_path / name
@@ -136,10 +155,8 @@ def test_exit_code_rule(tmp_path, capsys, command, fault):
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"neither a WAV nor a grid")
     if command == "mca":
-        good = tmp_path / "good.grid"
-        save_grid(good, np.ones((2, 2)))
-        incomparable = tmp_path / "3x2.grid"  # another shape
-        save_grid(incomparable, np.ones((3, 2)))
+        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
+        incomparable = grid_of(tmp_path, "3x2.npy", np.ones((3, 2)))  # another shape
         bad_flag = ["--alpha", "x"]
     else:
         good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
@@ -150,12 +167,12 @@ def test_exit_code_rule(tmp_path, capsys, command, fault):
     second = {"missing": tmp_path / "missing", "undecodable": junk,
               "incomparable": incomparable, "bad_flag": good}[fault]
     argv = [command, str(good), str(second)]
-    argv += ["-o", str(tmp_path / "mask.grid")] if command == "iam" else []
+    argv += ["-o", str(tmp_path / "mask.npy")] if command == "iam" else []
     argv += bad_flag if fault == "bad_flag" else []
     assert main(argv) == _EXIT_RULE[fault]
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err
-    assert not (tmp_path / "mask.grid").exists()
+    assert not (tmp_path / "mask.npy").exists()
 
 
 def test_align_and_snr_agree_on_a_silent_reference(tmp_path, capsys):
@@ -226,11 +243,9 @@ class TestAlignCommand:
 
 class TestMcaCommand:
     def test_report_line(self, tmp_path, capsys):
-        a = tmp_path / "a.grid"
-        b = tmp_path / "b.grid"
-        save_grid(a, np.ones((2, 2)))
-        save_grid(b, np.full((2, 2), 2.0))
-        assert main(["mca", str(a), str(b), "--alpha", "0.5"]) == 0
+        a = grid_of(tmp_path, "a.npy", np.ones((2, 2)))
+        b = grid_of(tmp_path, "b.npy", np.full((2, 2), 2.0))
+        assert main(["mca", a, b, "--alpha", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "mse=1" in out
         assert "cossim=0" in out
@@ -239,9 +254,9 @@ class TestMcaCommand:
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("grids_exist", [True, False])
     def test_bad_alpha_is_usage_error(self, tmp_path, capsys, alpha, grids_exist):
-        a = tmp_path / "a.grid"
+        a = tmp_path / "a.npy"
         if grids_exist:
-            save_grid(a, np.ones((2, 2)))
+            np.save(a, np.ones((2, 2)))
         assert main(["mca", str(a), str(a), "--alpha", alpha]) == 2
         captured = capsys.readouterr()
         assert captured.err == \
@@ -249,20 +264,73 @@ class TestMcaCommand:
         assert captured.out == ""
 
     def test_bad_grid_is_input_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.grid"
+        bad = tmp_path / "bad.npy"
         bad.write_bytes(b"nope")
-        good = tmp_path / "good.grid"
-        save_grid(good, np.ones((2, 2)))
-        assert main(["mca", str(bad), str(good)]) == 1
-        assert capsys.readouterr().err.strip() == f"mca: {bad}: not a grid file"
+        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
+        assert main(["mca", str(bad), good]) == 1
+        assert capsys.readouterr().err == \
+               f"mca: {bad}: EOF: reading magic string, expected 8 bytes got 4\n"
 
+    # 2**64 elements: the size wraps in int64, so the raising errstate catches it.
     def test_grid_whose_size_overflows_int64_is_input_error(self, tmp_path, capsys):
-        huge = tmp_path / "huge.grid"
-        huge.write_bytes(MAGIC + struct.pack("<HHIQQ", 1, 1, 2, 2**33, 2**31))
-        good = tmp_path / "good.grid"
-        save_grid(good, np.ones((2, 2)))
-        assert main(["mca", str(huge), str(good)]) == 1
-        assert capsys.readouterr().err.strip() == f"mca: {huge}: truncated payload"
+        huge = tmp_path / "huge.npy"
+        huge.write_bytes(npy_header((2**33, 2**31)))
+        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
+        assert main(["mca", str(huge), good]) == 1
+        assert capsys.readouterr().err.startswith(f"mca: {huge}: overflow encountered in ")
+
+    # Each fault names the file, exits 1 and maps nothing of the declared size.
+    @pytest.mark.parametrize("blob,message", [
+        (b"neither a WAV nor a grid", "the magic string is not correct"),
+        (b"", "EOF: reading magic string"),
+        (saved_bytes(np.savez, a=np.ones(3)), "the magic string is not correct"),
+        (saved_bytes(np.save, np.ones((4, 4)))[:40], "EOF: reading array header"),
+        (saved_bytes(np.save, np.ones((4, 4)))[:-16], "mmap length is greater than file size"),
+        (npy_header((2**37,)), "mmap length is greater than file size"),  # 1 TiB
+        (npy_header((2**70,)), ""),
+        (npy_header((-1, 2)), "negative dimensions are not allowed"),
+        (saved_bytes(np.save, np.array([1.0, None])), "Array can't be memory-mapped"),
+        (saved_bytes(np.save, np.ones(2, np.complex128)),
+         "expected a floating-point array, got complex128"),
+        (saved_bytes(np.save, np.ones(2, np.int64)), "expected a floating-point array, got int64"),
+    ], ids=["junk", "empty", "npz", "truncated_header", "truncated_payload", "declares_1_tib",
+            "dim_past_int64", "negative_dim", "object_dtype", "complex_dtype", "int_dtype"])
+    def test_reader_fault(self, tmp_path, capsys, blob, message):
+        bad = tmp_path / "bad.npy"
+        bad.write_bytes(blob)
+        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
+        tracemalloc.start()
+        try:
+            assert main(["mca", good, str(bad)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mca: {bad}: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)], ids=["1.0", "2.0", "3.0"])
+    def test_every_npy_version_is_read(self, tmp_path, capsys, version):
+        a = tmp_path / "a.npy"
+        with open(a, "wb") as fh:
+            np.lib.format.write_array(fh, np.ones((2, 2)), version=version)
+        b = grid_of(tmp_path, "b.npy", np.full((2, 2), 2.0))
+        assert main(["mca", str(a), b]) == 0
+        assert capsys.readouterr().out.startswith("mse=1 cossim=0 ")
+
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 2)], ids=["2d", "3d"])
+    def test_float32_and_3d_grids_are_read(self, tmp_path, capsys, shape):
+        rng = np.random.default_rng(15)
+        A, B = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape).astype(np.float32)
+        a = grid_of(tmp_path, "a.npy", A)
+        b = grid_of(tmp_path, "b.npy", B)
+        assert main(["mca", a, b, "--alpha", "0.5"]) == 0
+        report = mca_loss(A, B.astype(np.float64), alpha=0.5)
+        assert capsys.readouterr().out == (
+            f"mse={report.mse:.12g} cossim={report.cossim_loss:.12g} "
+            f"mca={report.mca:.12g} alpha=0.5\n")
 
 
 class TestIamCommand:
@@ -271,13 +339,22 @@ class TestIamCommand:
         mix = clean + 0.1 * np.random.default_rng(4).standard_normal(clean.size)
         c = wav_of(tmp_path, "c.wav", clean)
         m = wav_of(tmp_path, "m.wav", mix)
-        out = tmp_path / "mask.grid"
+        out = tmp_path / "mask.npy"
         assert main(["iam", c, m, "-o", str(out), "--clip-max", "2.0"]) == 0
-        mask = load_grid(out)
-        assert mask.ndim == 2
+        mask = np.load(out)
+        assert mask.ndim == 2 and mask.dtype == np.float64
         assert mask.min() >= 0.0 and mask.max() <= 2.0
         mag_c, mag_m = (np.abs(stft(read_wav(p).channels[0], StftConfig()).data) for p in (c, m))
         np.testing.assert_array_equal(mask, iam_target(mag_c, mag_m, clip_max=2.0))
+
+    # np.save appends ".npy" to a name without it, unless handed an open file.
+    def test_writes_exactly_the_named_path(self, tmp_path, capsys):
+        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
+        out = tmp_path / "mask"
+        assert main(["iam", c, c, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 33x257 mask to {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.wav", "mask"]
+        np.testing.assert_array_equal(np.load(out), np.ones((33, 257)))
 
     # A kept segment against the longer session file it was cut from is two
     # grid shapes, as for mca; no crop picks a part of the longer one.
@@ -285,7 +362,7 @@ class TestIamCommand:
         clean = speech_like(1.0, 16000, 3)
         c = wav_of(tmp_path, "c.wav", clean[:8000])
         m = wav_of(tmp_path, "m.wav", clean)
-        out = tmp_path / "mask.grid"
+        out = tmp_path / "mask.npy"
         assert main(["iam", c, m, "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "iam: shape mismatch: (33, 257) vs (64, 257)\n"
@@ -295,7 +372,7 @@ class TestIamCommand:
     def test_silent_mixture_is_bad_input(self, tmp_path, capsys):
         c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
         silent = wav_of(tmp_path, "silent.wav", np.zeros(8000))
-        out = tmp_path / "mask.grid"
+        out = tmp_path / "mask.npy"
         assert main(["iam", c, silent, "-o", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "iam: mixture grid is all-zero\n"
@@ -304,13 +381,13 @@ class TestIamCommand:
 
     def test_clip_max_is_checked_before_either_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.wav")
-        assert main(["iam", missing, missing, "-o", str(tmp_path / "m.grid"),
+        assert main(["iam", missing, missing, "-o", str(tmp_path / "m.npy"),
                      "--clip-max", "0"]) == 2
         assert capsys.readouterr().err == "pseudolabel iam: clip_max must be positive, got 0.0\n"
 
     def test_nan_clip_max_is_usage_error(self, tmp_path, capsys):
         c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
-        out = tmp_path / "mask.grid"
+        out = tmp_path / "mask.npy"
         assert main(["iam", c, c, "-o", str(out), "--clip-max", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "pseudolabel iam: clip_max must be positive, got nan\n"
@@ -440,7 +517,7 @@ class TestSimulateAndRun:
         assert from_file == ("pseudolabel run: unsupported window kind 'foo'; "
                              f"expected one of {WINDOW_KINDS}\n")
         argv = {"run": ["run", "--manifest", "m"],
-                "iam": ["iam", "c.wav", "m.wav", "-o", "mask.grid"]}[command]
+                "iam": ["iam", "c.wav", "m.wav", "-o", "mask.npy"]}[command]
         assert main(argv + ["--window", "foo"]) == 2
         captured = capsys.readouterr()
         assert captured.err == from_file.replace("run:", f"{command}:")
@@ -480,6 +557,24 @@ class TestSimulateAndRun:
         assert sorted(kwargs) == ["delay_range", "duration_range", "max_decay_ms",
                                   "sample_rate", "seed", "snr_range_db"]
         assert kwargs == {name: params[name].default for name in kwargs}
+
+    # simulate_corpus owns the low end of the delay range; --max-delay sets the high end.
+    def test_simulate_delay_low_end_is_simulate_corpus_default(self, monkeypatch):
+        calls = []
+        real = inspect.signature(simulate_corpus)
+        high = real.parameters["delay_range"].default[1]
+
+        def fake(out_dir, **kwargs):
+            calls.append(kwargs["delay_range"])
+            return "m", "t"
+
+        fake.__signature__ = real.replace(parameters=[
+            p.replace(default=(100, high)) if p.name == "delay_range" else p
+            for p in real.parameters.values()])
+        monkeypatch.setattr("pseudolabel.cli.simulate_corpus", fake)
+        assert main(["simulate", "--out", "X"]) == 0
+        assert main(["simulate", "--out", "X", "--max-delay", "900"]) == 0
+        assert calls == [(100, high), (100, 900)]
 
 
 class TestConfigFile:

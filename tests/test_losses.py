@@ -1,10 +1,8 @@
 import math
-import struct
 
 import numpy as np
 import pytest
 
-from pseudolabel.gridio import MAGIC, GridFormatError, load_grid, save_grid
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
 
 
@@ -169,47 +167,3 @@ class TestIamTarget:
     def test_divisor_floor_is_relative_to_the_peak(self):
         mask = iam_target(np.array([[0.5, 1e-13]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(mask, [[0.5, 0.1]], rtol=1e-12)
-
-
-class TestGridIO:
-    def test_round_trip_2d(self, tmp_path):
-        arr = np.random.default_rng(15).standard_normal((11, 7))
-        path = tmp_path / "a.grid"
-        save_grid(path, arr)
-        np.testing.assert_array_equal(load_grid(path), arr)
-
-    def test_round_trip_3d(self, tmp_path):
-        arr = np.random.default_rng(16).standard_normal((3, 5, 2))
-        path = tmp_path / "b.grid"
-        save_grid(path, arr)
-        back = load_grid(path)
-        assert back.shape == (3, 5, 2)
-        np.testing.assert_array_equal(back, arr)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "c.grid"
-        path.write_bytes(b"JUNKJUNKJUNKJUNK")
-        with pytest.raises(GridFormatError, match="not a grid"):
-            load_grid(path)
-
-    @pytest.mark.parametrize("header,message", [
-        (MAGIC + struct.pack("<HHI", 2, 1, 0), "unsupported version 2"),
-        (MAGIC + struct.pack("<HHI", 1, 2, 0), "unsupported dtype tag 2"),
-        (MAGIC + struct.pack("<HHIQ", 1, 1, 2, 4), "truncated header"),
-        # 2**64 elements: an int64 product of the dims would wrap to 0
-        (MAGIC + struct.pack("<HHIQQ", 1, 1, 2, 2**33, 2**31), "truncated payload"),
-    ], ids=["version", "dtype_tag", "truncated_header", "size_overflow"])
-    def test_bad_header_names_the_file(self, tmp_path, header, message):
-        path = tmp_path / "e.grid"
-        path.write_bytes(header)
-        with pytest.raises(GridFormatError) as exc:
-            load_grid(path)
-        assert str(exc.value) == f"{path}: {message}"
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "d.grid"
-        save_grid(path, np.ones((4, 4)))
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(GridFormatError, match="truncated"):
-            load_grid(path)

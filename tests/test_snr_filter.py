@@ -74,6 +74,16 @@ class TestEstimateSnr:
         with pytest.raises(ValueError, match="zero energy"):
             estimate_snr(np.ones(10), np.zeros(10))
 
+    # Checked on the two energies the estimate already sums, so a NaN is not
+    # returned (and later written as a bare NaN that read_results rejects).
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1], ids=["estimate", "reference"])
+    def test_non_finite_sample_rejected(self, side, bad):
+        pair = [np.random.default_rng(seed).standard_normal(100) for seed in (5, 6)]
+        pair[side][50] = bad
+        with pytest.raises(ValueError, match="^signal energy is not finite"):
+            estimate_snr(*pair)
+
 
 class TestFilterPairs:
     def test_boundary_kept(self):
