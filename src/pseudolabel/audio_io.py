@@ -69,8 +69,7 @@ class SegmentRecord:
     farfield_path: str
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start_s < self.end_s < math.inf:
-            raise ValueError(f"need finite 0 <= start_s < end_s, got [{self.start_s}, {self.end_s}]")
+        _check_interval(self.start_s, self.end_s)
         if not self.close_talk_path or not self.farfield_path:
             raise ValueError("close_talk_path and farfield_path must be nonempty")
 
@@ -142,17 +141,21 @@ def _read_header(fh, path) -> _WavHeader:
     return _WavHeader(rate, n_ch, width, *_DECODERS[tag, bits], data[0], data[1] // (width * n_ch))
 
 
+def _check_interval(start_s: float, end_s: float | None) -> None:
+    if not (0 <= start_s < math.inf and (end_s is None or start_s < end_s < math.inf)):
+        raise ValueError(f"need finite 0 <= start_s < end_s, got [{start_s}, {end_s}]")
+
+
 def _frame_range(n_frames: int, rate: int, start_s: float, end_s: float | None) -> tuple[int, int]:
     """The rule of :func:`cut_segment` on a clip of ``n_frames``; ``end_s=None``
     means the clip end, and with ``start_s=0`` the whole (maybe empty) clip."""
     if end_s is None and start_s == 0:
         return 0, n_frames
-    if start_s < 0 or not (end_s is None or end_s > start_s):
-        raise ValueError(f"need 0 <= start_s < end_s, got [{start_s}, {end_s}]")
-    i0 = round(start_s * rate)
+    _check_interval(start_s, end_s)
+    i0 = round(min(start_s * rate, n_frames))  # clamped first: a huge time overflows round
     if i0 >= n_frames:
         raise ValueError(f"segment start {start_s}s is beyond the clip end ({n_frames / rate:.3f}s)")
-    return i0, n_frames if end_s is None else min(round(end_s * rate), n_frames)
+    return i0, n_frames if end_s is None else round(min(end_s * rate, n_frames))
 
 
 def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioClip:
@@ -190,24 +193,35 @@ def _encode(samples: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
     return q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :].tobytes(), 1, bits  # top bytes
 
 
+def _wav_header(tag: int, n_ch: int, rate: int, bits: int, n_bytes: int) -> bytes:
+    """The RIFF, ``fmt `` and ``data`` chunk headers before ``n_bytes`` of samples.
+
+    Raises ``ValueError`` if a field does not fit its slot (the byte rate
+    and the sizes are 32-bit, the channel count 16-bit).
+    """
+    block_align = n_ch * bits // 8
+    try:
+        return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n_bytes + (n_bytes & 1), b"WAVE",
+                           b"fmt ", 16, tag, n_ch, rate, rate * block_align, block_align, bits,
+                           b"data", n_bytes)
+    except struct.error:
+        raise ValueError(f"out of range for a WAV header: {n_ch} channel(s) of {bits}-bit "
+                         f"samples at {rate} Hz, {n_bytes} data bytes") from None
+
+
 def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     """Write a clip as a RIFF/WAVE file in the given encoding.
 
     A PCM encoding clips each sample to full scale and rejects a NaN before
-    anything is written; float32 writes NaN and inf as they are.
+    anything is written; float32 writes NaN and inf as they are. A rate,
+    channel count or length that the header cannot hold raises
+    ``ValueError``, also before anything is written.
     """
     if clip.n_samples == 0:
         raise ValueError("refusing to write an empty clip")
     payload, tag, bits = _encode(clip.samples, encoding)
-    n_ch = clip.n_channels
-    block_align = n_ch * bits // 8
-    byte_rate = clip.sample_rate * block_align
-    fmt = struct.pack("<HHIIHH", tag, n_ch, clip.sample_rate, byte_rate, block_align, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        body += b"\x00"
-    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, len(payload))
+    Path(path).write_bytes(header + payload + b"\x00" * (len(payload) & 1))
 
 
 def _read_jsonl(path, parse) -> list:

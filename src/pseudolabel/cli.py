@@ -19,6 +19,7 @@ import inspect
 import re
 import sys
 import tokenize
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -236,7 +237,9 @@ def _read_grid(path) -> np.ndarray:
     """A floating-point ``.npy`` array, mapped rather than read, so a header
     that declares more data than the file holds fails before any allocation."""
     try:
-        grid = np.lib.format.open_memmap(path, mode="r")
+        with warnings.catch_warnings():  # a Python 2 header's "(2L, 2L)" reads with a warning
+            warnings.filterwarnings("ignore", "Reading `.npy` or `.npz` file required", UserWarning)
+            grid = np.lib.format.open_memmap(path, mode="r")
     # Besides ValueError, numpy's header parser lets out a TypeError (an
     # unhashable key), tokenize's error (an unclosed bracket in a 1.0 or 2.0
     # header) and an ArithmeticError (a size past int64).

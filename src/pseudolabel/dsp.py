@@ -79,8 +79,6 @@ class Spectrogram:
             raise ValueError(
                 f"bin count {self.data.shape[1]} does not match config n_bins {self.config.n_bins}"
             )
-        if not np.isfinite(self.data).all():
-            raise ValueError("spectrogram contains non-finite entries")
 
     @property
     def n_frames(self) -> int:
@@ -99,6 +97,8 @@ def stft(signal, config: StftConfig) -> Spectrogram:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("empty signal")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite sample in signal")
     n_fft, hop = config.n_fft, config.hop
     pad = n_fft // 2
     n_frames = int(np.ceil(x.size / hop)) + 1

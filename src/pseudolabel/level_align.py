@@ -59,22 +59,19 @@ def _check_diag_load(diag_load: float) -> None:
 
 @dataclass
 class FilterSet:
-    """Per-bin complex filters, taps ordered current-frame-first.
+    """Per-bin complex filters ``h[f, k]`` of ``L = h.shape[1]`` taps, current frame first.
 
     ``flags[f]`` is True where the normal equations were singular (an
     all-silent bin) and the filter was zeroed instead of solved.
     """
 
     h: np.ndarray
-    L: int
     flags: np.ndarray
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=np.complex128)
-        if self.h.ndim != 2 or self.h.shape[1] != self.L:
-            raise ValueError(f"filter array must have shape (n_bins, {self.L})")
-        if not np.isfinite(self.h).all():
-            raise ValueError("filters contain non-finite entries")
+        if self.h.ndim != 2:
+            raise ValueError(f"filter array must have shape (n_bins, L), got {self.h.shape}")
         self.flags = np.asarray(self.flags, dtype=bool)
         if self.flags.shape != (self.h.shape[0],):
             raise ValueError("flags must have one entry per bin")
@@ -153,20 +150,19 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
     if bad.any():
         h[bad] = 0.0
         flags |= bad
-    return FilterSet(h=h, L=L, flags=flags)
+    return FilterSet(h=h, flags=flags)
 
 
 def apply_mflf(filters: FilterSet, stacked: np.ndarray) -> np.ndarray:
     """Filter the stacked frames: ``out(t,f) = sum_k h*(f,k) s(t,f,k)``."""
-    if stacked.ndim != 3 or stacked.shape[2] != filters.L:
-        raise ValueError(
-            f"stacked tensor tap count {stacked.shape[-1]} does not match filter L={filters.L}"
-        )
-    if stacked.shape[1] != filters.h.shape[0]:
+    n_bins, L = filters.h.shape
+    if stacked.ndim != 3 or stacked.shape[2] != L:
+        raise ValueError(f"stacked tensor tap count {stacked.shape[-1]} does not match filter L={L}")
+    if stacked.shape[1] != n_bins:
         raise ValueError("stacked tensor bin count does not match filter set")
     h_conj = filters.h.conj()
     out = h_conj[:, 0] * stacked[:, :, 0]
-    for k in range(1, filters.L):
+    for k in range(1, L):
         out += h_conj[:, k] * stacked[:, :, k]
     return out
 

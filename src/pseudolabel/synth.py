@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentRecord, write_wav
+from .audio_io import AudioClip, SegmentRecord, _wav_header, write_wav
 from .pipeline import estimate_snr
 
 NOISE_KINDS = ("white", "pink")
@@ -164,6 +164,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
             raise ValueError(f"{name} must be finite with {rule}, got {(low, high)}")
     if not 0 <= max_decay_ms < math.inf:
         raise ValueError(f"max_decay_ms must be >= 0 and finite, got {max_decay_ms}")
+    _wav_header(3, 1, sample_rate, 32, 0)  # the rate fits the float32 mono files written below
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -45,9 +45,9 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     The cross spectrum is whitened by its own magnitude (floored at
     1e-12 times the largest cross-spectral magnitude, and never below the
     smallest normal float), which makes the estimate insensitive to
-    spectral coloration and overall scale. A cross spectrum that
-    underflows to all zeros, or holds a NaN or an infinity (a non-finite
-    sample, or an overflow), raises ``ValueError``.
+    spectral coloration and overall scale. A NaN or infinite sample
+    raises ``ValueError`` before any FFT; a cross spectrum that
+    underflows to all zeros, or overflows, raises it after.
 
     The FFT length is the smallest 5-smooth ``n`` of at least
     ``max(len(s1), len(y)) + max_lag + 1``, so no lag in the window picks
@@ -61,6 +61,9 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     y = np.asarray(y, dtype=np.float64)
     if s1.ndim != 1 or y.ndim != 1 or s1.size == 0 or y.size == 0:
         raise ValueError("gcc_phat expects two nonempty 1-D signals")
+    for name, x in (("s1", s1), ("y", y)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite sample in {name}")
     if not np.any(s1) or not np.any(y):
         raise ValueError("gcc_phat requires both signals to have nonzero energy")
     if max_lag < 0:

@@ -87,6 +87,15 @@ class TestWavRoundTrip:
             write_wav(path, AudioClip(x, 16000), encoding)
         assert not path.exists()
 
+    # The byte rate is 32-bit: 2**30 Hz of float32 mono is 2**32 bytes a second.
+    def test_rate_past_the_header_rejected_before_writing(self, tmp_path):
+        write_wav(tmp_path / "edge.wav", AudioClip(np.zeros(3), 2**30 - 1))
+        assert read_wav(tmp_path / "edge.wav").sample_rate == 2**30 - 1
+        path = tmp_path / "fast.wav"
+        with pytest.raises(ValueError, match="^out of range for a WAV header: 1 channel"):
+            write_wav(path, AudioClip(np.zeros(3), 2**30))
+        assert not path.exists()
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_wav(tmp_path / "missing_dir" / "x.wav", AudioClip(np.zeros(10), 16000))
@@ -383,6 +392,32 @@ class TestRangedRead:
         assert outcomes == {"ok", "clamped", "error"}
         # no end: from the start to the end of the file
         np.testing.assert_array_equal(read_wav(path, 0.1).samples, whole.samples[:, 800:])
+
+    # The manifest's interval rule; a huge finite time clamps to the clip
+    # before it is rounded, so it never overflows.
+    @pytest.mark.parametrize("start, end, message", [
+        (math.nan, 1.0, "need finite 0 <= start_s < end_s, got [nan, 1.0]"),
+        (0.0, math.nan, "need finite 0 <= start_s < end_s, got [0.0, nan]"),
+        (0.0, math.inf, "need finite 0 <= start_s < end_s, got [0.0, inf]"),
+        (math.inf, math.inf, "need finite 0 <= start_s < end_s, got [inf, inf]"),
+        (0.0, 1e305, None),
+        (1e305, 1e306, "segment start 1e+305s is beyond the clip end (0.100s)"),
+        (math.nan, None, "need finite 0 <= start_s < end_s, got [nan, None]"),
+        (math.inf, None, "need finite 0 <= start_s < end_s, got [inf, None]"),
+        (1e305, None, "segment start 1e+305s is beyond the clip end (0.100s)"),
+    ], ids=["nan_start", "nan_end", "inf_end", "inf_start", "huge_end", "huge_start",
+            "nan_start_no_end", "inf_start_no_end", "huge_start_no_end"])
+    def test_non_finite_and_huge_times(self, tmp_path, start, end, message):
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioClip(np.arange(800) / 800, 8000))
+        whole = read_wav(path)
+        ranged = _outcome(lambda: read_wav(path, start, end))
+        if end is not None:
+            assert ranged == _outcome(lambda: cut_segment(whole, start, end))
+        if message is None:
+            assert ranged == _outcome(lambda: whole)
+        else:
+            assert ranged == (("error", ValueError, message), [])
 
     def test_whole_read_of_an_empty_data_chunk(self, tmp_path):
         path = tmp_path / "empty.wav"

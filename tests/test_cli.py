@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -320,6 +321,22 @@ class TestMcaCommand:
         assert main(["mca", str(a), b]) == 0
         assert capsys.readouterr().out.startswith("mse=1 cossim=0 ")
 
+    # Python 2's numpy wrote long dims as "2L"; numpy reads them, with a UserWarning.
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0)], ids=["1.0", "2.0"])
+    def test_python_2_header_is_read_without_a_warning(self, tmp_path, capsys, version):
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (2L, 2L), }"
+        length_format = "<H" if version == (1, 0) else "<I"
+        prefix = len(np.lib.format.magic(*version)) + struct.calcsize(length_format)
+        header += " " * (-(prefix + len(header) + 1) % 64) + "\n"
+        a = tmp_path / "a.npy"
+        a.write_bytes(np.lib.format.magic(*version) + struct.pack(length_format, len(header))
+                      + header.encode("latin1") + np.ones(4).tobytes())
+        b = grid_of(tmp_path, "b.npy", np.full((2, 2), 2.0))
+        assert main(["mca", str(a), b]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("mse=1 cossim=0 ") and captured.out.count("\n") == 1
+        assert captured.err == ""
+
     @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 2)], ids=["2d", "3d"])
     def test_float32_and_3d_grids_are_read(self, tmp_path, capsys, shape):
         rng = np.random.default_rng(15)
@@ -456,6 +473,19 @@ class TestSimulateAndRun:
         assert main(["simulate", "--out", str(corpus), "--count", "1", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"pseudolabel simulate: {message}\n"
+        assert captured.out == ""
+        assert not corpus.exists()
+
+    # At 1.2 GHz a float32 file's byte rate overflows its header's 32-bit field.
+    # The durations keep any corpus that does get made to a few samples.
+    def test_rate_past_the_wav_header_is_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--out", str(corpus), "--count", "1",
+                     "--sample-rate", "1200000000", "--min-duration-s", "1e-9",
+                     "--max-duration-s", "2e-9", "--max-decay-ms", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("pseudolabel simulate: out of range for a WAV header: 1 channel(s) "
+                                "of 32-bit samples at 1200000000 Hz, 0 data bytes\n")
         assert captured.out == ""
         assert not corpus.exists()
 

@@ -197,12 +197,13 @@ class TestIstft:
 
 
 class TestValidation:
-    def test_spectrogram_rejects_nan(self):
-        cfg = StftConfig()
-        data = np.zeros((3, cfg.n_bins), dtype=complex)
-        data[1, 5] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            Spectrogram(data, cfg)
+    # The signal is checked; a Spectrogram built from an array is not scanned.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_stft_rejects_a_non_finite_sample(self, bad):
+        x = np.zeros(1000)
+        x[500] = bad
+        with pytest.raises(ValueError, match="^non-finite sample in signal$"):
+            stft(x, StftConfig())
 
     def test_spectrogram_rejects_three_d_data(self):
         with pytest.raises(ValueError, match="must be 2-D"):

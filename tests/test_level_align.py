@@ -348,7 +348,7 @@ class TestApplyMflf:
     def test_zero_filter_zero_output(self):
         spec = random_spec(10, 19)
         stacked = stack_frames(spec, 2)
-        fs = FilterSet(np.zeros((CFG.n_bins, 2), dtype=complex), 2, np.zeros(CFG.n_bins, bool))
+        fs = FilterSet(np.zeros((CFG.n_bins, 2), dtype=complex), np.zeros(CFG.n_bins, bool))
         assert np.all(apply_mflf(fs, stacked) == 0)
 
     def test_identity_tap(self):
@@ -356,7 +356,7 @@ class TestApplyMflf:
         stacked = stack_frames(spec, 2)
         h = np.zeros((CFG.n_bins, 2), dtype=complex)
         h[:, 0] = 1.0
-        fs = FilterSet(h, 2, np.zeros(CFG.n_bins, bool))
+        fs = FilterSet(h, np.zeros(CFG.n_bins, bool))
         np.testing.assert_allclose(apply_mflf(fs, stacked), spec.data, atol=1e-14)
 
     def test_reconstructs_constructed_target(self):
@@ -373,13 +373,13 @@ class TestApplyMflf:
     def test_tap_count_mismatch(self):
         spec = random_spec(10, 23)
         stacked = stack_frames(spec, 3)
-        fs = FilterSet(np.zeros((CFG.n_bins, 2), dtype=complex), 2, np.zeros(CFG.n_bins, bool))
+        fs = FilterSet(np.zeros((CFG.n_bins, 2), dtype=complex), np.zeros(CFG.n_bins, bool))
         with pytest.raises(ValueError, match="tap count"):
             apply_mflf(fs, stacked)
 
     def test_bin_count_mismatch(self):
         stacked = stack_frames(random_spec(10, 23), 2)
-        fs = FilterSet(np.zeros((CFG.n_bins - 1, 2), dtype=complex), 2,
+        fs = FilterSet(np.zeros((CFG.n_bins - 1, 2), dtype=complex),
                        np.zeros(CFG.n_bins - 1, bool))
         with pytest.raises(ValueError, match="bin count"):
             apply_mflf(fs, stacked)
@@ -388,13 +388,11 @@ class TestApplyMflf:
 class TestFilterSet:
     @pytest.mark.parametrize("h, flags, message", [
         (np.zeros(CFG.n_bins), np.zeros(CFG.n_bins, bool), "must have shape"),
-        (np.zeros((CFG.n_bins, 3)), np.zeros(CFG.n_bins, bool), "must have shape"),
-        (np.full((CFG.n_bins, 2), np.nan), np.zeros(CFG.n_bins, bool), "non-finite"),
         (np.zeros((CFG.n_bins, 2)), np.zeros(CFG.n_bins - 1, bool), "one entry per bin"),
-    ], ids=["1-D", "wrong_L", "nan", "flags"])
+    ], ids=["1-D", "flags"])
     def test_rejects(self, h, flags, message):
         with pytest.raises(ValueError, match=message):
-            FilterSet(h, 2, flags)
+            FilterSet(h, flags)
 
 
 class TestLevelAlign:

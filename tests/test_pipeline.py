@@ -17,8 +17,12 @@ import pytest
 
 from pseudolabel import audio_io, pipeline
 from pseudolabel.audio_io import AudioClip, ManifestError, SegmentRecord, read_wav, write_wav
+from pseudolabel.dsp import StftConfig
+from pseudolabel.level_align import MflfConfig, level_align
 from pseudolabel.pipeline import (
     PipelineConfig,
+    estimate_snr,
+    read_pair,
     read_results,
     record_from_dict,
     record_to_dict,
@@ -27,6 +31,7 @@ from pseudolabel.pipeline import (
 )
 from pseudolabel import PseudoLabelRecord
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
+from pseudolabel.time_align import gcc_phat
 from pseudolabel import parse_segments
 from rawwav import raw_wav_bytes
 
@@ -346,6 +351,34 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
                record_to_dict(second[0]) | {"processed_at": ""}
         wav1 = read_wav(first[0].output_path)
         np.testing.assert_array_equal(wav1.samples, read_wav(second[0].output_path).samples)
+
+
+def _read_pair_of_arrays(tmp_path, a, b):
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    for path, x in zip(paths, (a, b)):
+        write_wav(path, AudioClip(x, 16000), "float32")
+    return read_pair(*paths)
+
+
+# Each public entry that takes samples rejects a NaN or an infinity in either
+# argument itself, with ValueError and no numpy warning; stft is in test_dsp.
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("entry, message", [
+    (lambda tmp_path, a, b: level_align(a, b, StftConfig(), MflfConfig()),
+     "non-finite sample in signal"),
+    (lambda tmp_path, a, b: gcc_phat(a, b, max_lag=100), "non-finite sample in (s1|y)"),
+    (lambda tmp_path, a, b: estimate_snr(a, b), "signal energy is not finite"),
+    (_read_pair_of_arrays, "non-finite sample in .*[ab].wav"),
+], ids=["level_align", "gcc_phat", "estimate_snr", "read_pair"])
+def test_every_sample_entry_rejects_a_non_finite_sample(tmp_path, entry, message, side, bad):
+    pair = [np.random.default_rng(seed).standard_normal(4000) for seed in (7, 8)]
+    pair[side][2000] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            entry(tmp_path, *pair)
+    assert caught == []
 
 
 class TestRetainFreedMemory:
