@@ -2,9 +2,8 @@
 
 Subcommands: ``run`` (batch pipeline), ``simulate`` (synthetic corpus),
 ``snr`` (segment SNR of two WAVs), ``align`` (offset diagnostics),
-``mca`` (loss report on two ``.npy`` grids), ``iam`` (mask target
-generation, saved as ``.npy``). ``run`` also accepts a ``key=value``
-config file; explicit flags override file values.
+``iam`` (mask target generation, saved as ``.npy``). ``run`` also accepts
+a ``key=value`` config file; explicit flags override file values.
 
 Exit codes: 0 success; 1 a fault in an input file (missing, unreadable, or
 two files that cannot be compared), or a ``run`` whose every segment failed;
@@ -18,8 +17,6 @@ import contextlib
 import inspect
 import re
 import sys
-import tokenize
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +25,7 @@ import numpy as np
 from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
-from .losses import _check_alpha, _check_clip_max, iam_target, mca_loss
+from .losses import _check_clip_max, iam_target
 from .pipeline import PipelineConfig, estimate_snr, read_pair, run_tls, write_results
 from .synth import simulate_corpus
 from .time_align import gcc_phat
@@ -150,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument("reference")
     _add_field_flag(align, "max_lag_s", default=_field_default("max_lag_s"))
 
-    mca = sub.add_parser("mca", help="loss report for two magnitude grids saved as .npy")
-    mca.add_argument("target")
-    mca.add_argument("estimate")
-    mca.add_argument("--alpha", type=float, default=_defaults(mca_loss)["alpha"])
-
     iam = sub.add_parser("iam", help="ideal amplitude mask target from clean + mixture WAVs")
     iam.add_argument("clean")
     iam.add_argument("mixture")
@@ -233,32 +225,6 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _read_grid(path) -> np.ndarray:
-    """A floating-point ``.npy`` array, mapped rather than read, so a header
-    that declares more data than the file holds fails before any allocation."""
-    try:
-        with warnings.catch_warnings():  # a Python 2 header's "(2L, 2L)" reads with a warning
-            warnings.filterwarnings("ignore", "Reading `.npy` or `.npz` file required", UserWarning)
-            grid = np.lib.format.open_memmap(path, mode="r")
-    # Besides ValueError, numpy's header parser lets out a TypeError (an
-    # unhashable key), tokenize's error (an unclosed bracket in a 1.0 or 2.0
-    # header) and an ArithmeticError (a size past int64).
-    except (ValueError, TypeError, ArithmeticError, tokenize.TokenError) as exc:
-        raise _BadInput(f"{path}: {exc}") from exc
-    if not np.issubdtype(grid.dtype, np.floating):
-        raise _BadInput(f"{path}: expected a floating-point array, got {grid.dtype}")
-    return grid
-
-
-def _cmd_mca(args) -> int:
-    _check_alpha(args.alpha)  # a flag fault, so checked outside the input-fault block
-    with _input_faults():
-        report = mca_loss(_read_grid(args.target), _read_grid(args.estimate), alpha=args.alpha)
-    print(f"mse={report.mse:.12g} cossim={report.cossim_loss:.12g} "
-          f"mca={report.mca:.12g} alpha={report.alpha:g}")
-    return 0
-
-
 def _cmd_iam(args) -> int:
     _check_clip_max(args.clip_max)  # flag faults, so checked before either read
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
@@ -277,7 +243,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "snr": _cmd_snr,
     "align": _cmd_align,
-    "mca": _cmd_mca,
     "iam": _cmd_iam,
 }
 

@@ -2,11 +2,8 @@ import argparse
 import dataclasses
 import functools
 import inspect
-import io
 import json
 import math
-import struct
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -119,25 +116,6 @@ def test_align_rejects_an_underflowing_pair(tmp_path, capsys):
     assert captured.out == ""
 
 
-def grid_of(tmp_path, name, array) -> str:
-    path = tmp_path / name
-    np.save(path, array)
-    return str(path)
-
-
-def saved_bytes(save, *args, **kwargs) -> bytes:
-    """What ``save`` (``np.save``, ``np.savez``, a header writer) writes to a file."""
-    with io.BytesIO() as fh:
-        save(fh, *args, **kwargs)
-        return fh.getvalue()
-
-
-def npy_header(shape) -> bytes:
-    """A version 1.0 float64 ``.npy`` header declaring ``shape``, with no payload."""
-    return saved_bytes(np.lib.format.write_array_header_1_0,
-                       {"descr": "<f8", "fortran_order": False, "shape": shape})
-
-
 def empty_wav_of(tmp_path, name) -> str:
     """A float32 WAV with an empty ``data`` chunk, which ``write_wav`` refuses to write."""
     path = tmp_path / name
@@ -151,20 +129,15 @@ _EXIT_RULE = {"missing": 1, "undecodable": 1, "incomparable": 1, "bad_flag": 2}
 
 
 @pytest.mark.parametrize("fault", list(_EXIT_RULE))
-@pytest.mark.parametrize("command", ["snr", "align", "iam", "mca"])
+@pytest.mark.parametrize("command", ["snr", "align", "iam"])
 def test_exit_code_rule(tmp_path, capsys, command, fault):
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"neither a WAV nor a grid")
-    if command == "mca":
-        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
-        incomparable = grid_of(tmp_path, "3x2.npy", np.ones((3, 2)))  # another shape
-        bad_flag = ["--alpha", "x"]
-    else:
-        good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
-        incomparable = (empty_wav_of(tmp_path, "empty.wav") if command == "iam"
-                        else wav_of(tmp_path, "silent.wav", np.zeros(8000)))
-        bad_flag = {"snr": ["--bogus"], "align": ["--max-lag-s", "0"],
-                    "iam": ["--n-fft", "100"]}[command]
+    good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
+    incomparable = (empty_wav_of(tmp_path, "empty.wav") if command == "iam"
+                    else wav_of(tmp_path, "silent.wav", np.zeros(8000)))
+    bad_flag = {"snr": ["--bogus"], "align": ["--max-lag-s", "0"],
+                "iam": ["--n-fft", "100"]}[command]
     second = {"missing": tmp_path / "missing", "undecodable": junk,
               "incomparable": incomparable, "bad_flag": good}[fault]
     argv = [command, str(good), str(second)]
@@ -242,114 +215,6 @@ class TestAlignCommand:
         assert captured.out == ""
 
 
-class TestMcaCommand:
-    def test_report_line(self, tmp_path, capsys):
-        a = grid_of(tmp_path, "a.npy", np.ones((2, 2)))
-        b = grid_of(tmp_path, "b.npy", np.full((2, 2), 2.0))
-        assert main(["mca", a, b, "--alpha", "0.5"]) == 0
-        out = capsys.readouterr().out
-        assert "mse=1" in out
-        assert "cossim=0" in out
-
-    # alpha is a flag, so its fault exits 2 even when a grid is missing too.
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("grids_exist", [True, False])
-    def test_bad_alpha_is_usage_error(self, tmp_path, capsys, alpha, grids_exist):
-        a = tmp_path / "a.npy"
-        if grids_exist:
-            np.save(a, np.ones((2, 2)))
-        assert main(["mca", str(a), str(a), "--alpha", alpha]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == \
-               f"pseudolabel mca: alpha must be >= 0 and finite, got {float(alpha)}\n"
-        assert captured.out == ""
-
-    def test_bad_grid_is_input_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.npy"
-        bad.write_bytes(b"nope")
-        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
-        assert main(["mca", str(bad), good]) == 1
-        assert capsys.readouterr().err == \
-               f"mca: {bad}: EOF: reading magic string, expected 8 bytes got 4\n"
-
-    # 2**64 elements: the size wraps in int64, so the raising errstate catches it.
-    def test_grid_whose_size_overflows_int64_is_input_error(self, tmp_path, capsys):
-        huge = tmp_path / "huge.npy"
-        huge.write_bytes(npy_header((2**33, 2**31)))
-        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
-        assert main(["mca", str(huge), good]) == 1
-        assert capsys.readouterr().err.startswith(f"mca: {huge}: overflow encountered in ")
-
-    # Each fault names the file, exits 1 and maps nothing of the declared size.
-    @pytest.mark.parametrize("blob,message", [
-        (b"neither a WAV nor a grid", "the magic string is not correct"),
-        (b"", "EOF: reading magic string"),
-        (saved_bytes(np.savez, a=np.ones(3)), "the magic string is not correct"),
-        (saved_bytes(np.save, np.ones((4, 4)))[:40], "EOF: reading array header"),
-        (saved_bytes(np.save, np.ones((4, 4)))[:-16], "mmap length is greater than file size"),
-        (npy_header((2**37,)), "mmap length is greater than file size"),  # 1 TiB
-        (npy_header((2**70,)), ""),
-        (npy_header((-1, 2)), "negative dimensions are not allowed"),
-        (saved_bytes(np.save, np.array([1.0, None])), "Array can't be memory-mapped"),
-        (saved_bytes(np.save, np.ones(2, np.complex128)),
-         "expected a floating-point array, got complex128"),
-        (saved_bytes(np.save, np.ones(2, np.int64)), "expected a floating-point array, got int64"),
-    ], ids=["junk", "empty", "npz", "truncated_header", "truncated_payload", "declares_1_tib",
-            "dim_past_int64", "negative_dim", "object_dtype", "complex_dtype", "int_dtype"])
-    def test_reader_fault(self, tmp_path, capsys, blob, message):
-        bad = tmp_path / "bad.npy"
-        bad.write_bytes(blob)
-        good = grid_of(tmp_path, "good.npy", np.ones((2, 2)))
-        tracemalloc.start()
-        try:
-            assert main(["mca", good, str(bad)]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"mca: {bad}: {message}")
-        assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)], ids=["1.0", "2.0", "3.0"])
-    def test_every_npy_version_is_read(self, tmp_path, capsys, version):
-        a = tmp_path / "a.npy"
-        with open(a, "wb") as fh:
-            np.lib.format.write_array(fh, np.ones((2, 2)), version=version)
-        b = grid_of(tmp_path, "b.npy", np.full((2, 2), 2.0))
-        assert main(["mca", str(a), b]) == 0
-        assert capsys.readouterr().out.startswith("mse=1 cossim=0 ")
-
-    # Python 2's numpy wrote long dims as "2L"; numpy reads them, with a UserWarning.
-    @pytest.mark.parametrize("version", [(1, 0), (2, 0)], ids=["1.0", "2.0"])
-    def test_python_2_header_is_read_without_a_warning(self, tmp_path, capsys, version):
-        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (2L, 2L), }"
-        length_format = "<H" if version == (1, 0) else "<I"
-        prefix = len(np.lib.format.magic(*version)) + struct.calcsize(length_format)
-        header += " " * (-(prefix + len(header) + 1) % 64) + "\n"
-        a = tmp_path / "a.npy"
-        a.write_bytes(np.lib.format.magic(*version) + struct.pack(length_format, len(header))
-                      + header.encode("latin1") + np.ones(4).tobytes())
-        b = grid_of(tmp_path, "b.npy", np.full((2, 2), 2.0))
-        assert main(["mca", str(a), b]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("mse=1 cossim=0 ") and captured.out.count("\n") == 1
-        assert captured.err == ""
-
-    @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 2)], ids=["2d", "3d"])
-    def test_float32_and_3d_grids_are_read(self, tmp_path, capsys, shape):
-        rng = np.random.default_rng(15)
-        A, B = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape).astype(np.float32)
-        a = grid_of(tmp_path, "a.npy", A)
-        b = grid_of(tmp_path, "b.npy", B)
-        assert main(["mca", a, b, "--alpha", "0.5"]) == 0
-        report = mca_loss(A, B.astype(np.float64), alpha=0.5)
-        assert capsys.readouterr().out == (
-            f"mse={report.mse:.12g} cossim={report.cossim_loss:.12g} "
-            f"mca={report.mca:.12g} alpha=0.5\n")
-
-
 class TestIamCommand:
     def test_writes_mask_grid(self, tmp_path, capsys):
         clean = speech_like(0.5, 16000, 3)
@@ -374,7 +239,7 @@ class TestIamCommand:
         np.testing.assert_array_equal(np.load(out), np.ones((33, 257)))
 
     # A kept segment against the longer session file it was cut from is two
-    # grid shapes, as for mca; no crop picks a part of the longer one.
+    # grid shapes; no crop picks a part of the longer one.
     def test_two_lengths_are_bad_input(self, tmp_path, capsys):
         clean = speech_like(1.0, 16000, 3)
         c = wav_of(tmp_path, "c.wav", clean[:8000])
@@ -775,6 +640,7 @@ class TestFlagDefaults:
         flags = {command: {a.dest: a.default for a in sub._actions
                            if a.option_strings and a.dest != "help"}
                  for command, sub in subparsers.choices.items()}
+        assert list(flags) == ["run", "simulate", "snr", "align", "iam"]
         stft, sim = StftConfig(), _signature_defaults(simulate_corpus)
         # run's flags default to unset, so its config file and the dataclasses
         # fill in (TestRunConfig); required flags have no default to own.
@@ -783,7 +649,6 @@ class TestFlagDefaults:
         assert flags["iam"] == {"out": None, "n_fft": stft.n_fft, "hop": stft.hop,
                                 "window": stft.window_kind,
                                 "clip_max": _signature_defaults(iam_target)["clip_max"]}
-        assert flags["mca"] == {"alpha": _signature_defaults(mca_loss)["alpha"]}
         simulate = flags["simulate"]
         assert simulate.pop("out") is None
         simulate.pop("count")  # simulate_corpus has no default count; the CLI owns it

@@ -1,11 +1,10 @@
-"""Seeded fuzz of the four readers: WAV files, segment manifests, result files
-and ``.npy`` grids.
+"""Seeded fuzz of the three readers: WAV files, segment manifests and result
+files.
 
 Each input is read, or rejected with `WavFormatError`, `ManifestError` or a
 `ValueError` that names the path. No other exception escapes, no warning of
 any kind is emitted, and no input hangs. WAVs go through `read_pair`, which
-reads both headers, checks the rates and rejects non-finite samples. Grids
-go through `mca`, which exits 0 or 1 with one line.
+reads both headers, checks the rates and rejects non-finite samples.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import pytest
 from pseudolabel import (AudioClip, ManifestError, PseudoLabelRecord, SegmentRecord,
                          WavFormatError, parse_segments, read_results, read_wav, write_results,
                          write_wav)
-from pseudolabel.cli import main
 from pseudolabel.pipeline import read_pair
 from rawwav import raw_wav_bytes
 
@@ -190,64 +188,3 @@ def test_a_bad_line_is_a_manifest_error(tmp_path, reader, line, message):
         reader(path)
     assert str(exc.value) == message and exc.value.line_no == 2
 
-
-def _npy_header(version: int, text: str) -> bytes:
-    """The magic, a version, the header's length (u16 in 1.0, u32 after) and its text."""
-    body = (text + "\n").encode("utf-8")
-    size = struct.pack("<H" if version == 1 else "<I", len(body))
-    return b"\x93NUMPY" + bytes([version, 0]) + size + body
-
-
-_DESCRS = ["<f8", "<f4", ">f8", "<f2", "<i8", "|O", "<c16", "|V8", "bogus"]
-_SHAPES = [(6, 5), (5, 6), (30,), (), (0, 5), (7, 5), (2**37,), (2**33, 2**31), (2**70,),
-           (-1, 5)]
-_BROKEN_DICTS = ["{'descr': '<f8'", "[6, 5]", "{'descr': '<f8', 'fortran_order': 0, "
-                 "'shape': (6, 5)}", "{'descr': '<f8', 'fortran_order': False, "
-                 "'shape': (6.0, 5)}", "{'descr': '<f8', 'fortran_order': False, "
-                 "'shape': (6, 5), 'extra': 1}", "{[6]: 5}"]
-
-
-def _mutate_npy(rng, blob: bytes, kind: str) -> bytes:
-    if kind == "truncated":
-        return blob[: int(rng.integers(0, len(blob)))]
-    if kind == "bit_flipped":  # mostly in the header, where a flip changes the most
-        out = bytearray(blob)
-        for _ in range(int(rng.integers(1, 4))):
-            pos = int(rng.integers(0, 128 if rng.random() < 0.8 else len(out)))
-            out[pos] ^= 1 << int(rng.integers(0, 8))
-        return bytes(out)
-    # rewritten: a new header over the old payload
-    payload = blob[10 + struct.unpack_from("<H", blob, 8)[0]:]
-    if rng.random() < 0.2:
-        text = _BROKEN_DICTS[int(rng.integers(len(_BROKEN_DICTS)))]
-    else:
-        text = repr({"descr": _DESCRS[int(rng.integers(len(_DESCRS)))],
-                     "fortran_order": bool(rng.random() < 0.5),
-                     "shape": _SHAPES[int(rng.integers(len(_SHAPES)))]})
-    return _npy_header(int(rng.integers(1, 4)), text) + payload
-
-
-_NPY_OUTCOMES = {"truncated": {1}, "bit_flipped": {0, 1}, "rewritten": {0, 1}}
-
-
-@pytest.mark.parametrize("kind", list(_NPY_OUTCOMES))
-def test_npy_grids_are_read_or_rejected_in_one_line(tmp_path, capsys, kind):
-    rng = np.random.default_rng([SEED, 3, len(kind)])
-    base = tmp_path / "base.npy"
-    np.save(base, rng.uniform(0.1, 1.0, (6, 5)))
-    blob = base.read_bytes()
-    outcomes = set()
-    for i in range(PER_KIND):
-        path = tmp_path / f"{kind}_{i}.npy"
-        path.write_bytes(_mutate_npy(rng, blob, kind))
-        with warnings.catch_warnings(record=True) as caught, _deadline(5.0):
-            warnings.simplefilter("always")
-            code = main(["mca", str(path), str(path)])
-        assert [str(w.message) for w in caught] == [], path.read_bytes()[:128]
-        captured = capsys.readouterr()
-        printed, silent = (captured.out, captured.err) if code == 0 else (captured.err,
-                                                                          captured.out)
-        assert code in (0, 1) and silent == "", captured
-        assert printed.count("\n") == 1 and printed.startswith("mse=" if code == 0 else "mca: ")
-        outcomes.add(code)
-    assert outcomes == _NPY_OUTCOMES[kind]

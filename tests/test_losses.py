@@ -94,6 +94,15 @@ class TestMcaLoss:
         with pytest.raises(ValueError, match="alpha must be >= 0 and finite"):
             loss(np.ones((2, 2)), np.full((2, 2), 2.0), alpha=alpha)
 
+    # A float32 grid is read as float64, and a grid may have any number of axes.
+    @pytest.mark.parametrize("loss", [mca_loss, mca_grad])
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 2)], ids=["2d", "3d"])
+    def test_float32_grid_equals_its_float64_copy(self, loss, shape):
+        rng = np.random.default_rng(15)
+        A, B32 = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape).astype(np.float32)
+        np.testing.assert_equal(loss(A, B32, alpha=0.5),
+                                loss(A, B32.astype(np.float64), alpha=0.5))
+
 
 class TestMcaGrad:
     def test_identical_grids_leave_only_cossim_term(self):
