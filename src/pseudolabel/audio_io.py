@@ -7,7 +7,6 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -178,19 +177,21 @@ def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioCli
         return AudioClip(np.divide(frames, h.scale, dtype=np.float64, order="C"), h.rate)
 
 
-def _encode(samples: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
-    """Interleave and quantize; returns (payload, format_tag, bits)."""
+def _encode(samples: np.ndarray, encoding: str) -> tuple[np.ndarray, int, int]:
+    """Interleave and quantize; returns (payload, format_tag, bits), the payload
+    a C-contiguous array of the file's sample bytes."""
     if encoding not in ENCODINGS:
         raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
     inter = samples.T.ravel()
     if encoding == "float32":
-        return inter.astype("<f4").tobytes(), 3, 32
+        return inter.astype("<f4"), 3, 32
     if np.isnan(inter).any():  # an integer has no NaN; the cast would make one up
         raise ValueError(f"cannot write a NaN sample as {encoding}")
     bits = int(encoding[3:])
     full = 2.0 ** (bits - 1)
     q = np.clip(np.round(inter * full), -full, full - 1).astype("<i4") << (32 - bits)
-    return q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :].tobytes(), 1, bits  # top bytes
+    top_bytes = q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :]
+    return np.ascontiguousarray(top_bytes), 1, bits
 
 
 def _wav_header(tag: int, n_ch: int, rate: int, bits: int, n_bytes: int) -> bytes:
@@ -220,8 +221,11 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     if clip.n_samples == 0:
         raise ValueError("refusing to write an empty clip")
     payload, tag, bits = _encode(clip.samples, encoding)
-    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, len(payload))
-    Path(path).write_bytes(header + payload + b"\x00" * (len(payload) & 1))
+    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, payload.nbytes)
+    with open(path, "wb") as fh:  # header and payload as they are, not joined into one copy
+        fh.write(header)
+        fh.write(payload)
+        fh.write(b"\x00" * (payload.nbytes & 1))
 
 
 def _read_jsonl(path, parse) -> list:

@@ -117,7 +117,11 @@ def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
     over frames: phase ``j`` of every frame lands in hop-block ``t + j``.
     Phases are added in descending ``j``, which is ascending frame order
     at each sample, so every sample gets its terms in the same order as
-    a per-frame loop would add them, and the same bits.
+    a per-frame loop would add them, and the same bits. The window
+    overlap that divides them is the same in every hop-block that all
+    phases reach, so it is summed, in the same order, over
+    ``min(n_frames, n_fft // hop)`` frames only, not over the whole
+    output.
     """
     if target_len <= 0:
         raise ValueError(f"target_len must be positive, got {target_len}")
@@ -125,17 +129,28 @@ def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
     win = cfg.window()
     n_frames = spec.n_frames
     k = cfg.n_fft // cfg.hop
-    blocks = (np.fft.irfft(spec.data, n=cfg.n_fft, axis=1) * win).reshape(n_frames, k, cfg.hop)
+    frames = np.fft.irfft(spec.data, n=cfg.n_fft, axis=1)
+    frames *= win
+    blocks = frames.reshape(n_frames, k, cfg.hop)
     wsq = (win * win).reshape(k, cfg.hop)
     out = np.zeros((n_frames + k - 1, cfg.hop))
-    norm = np.zeros_like(out)
+    m = min(n_frames, k)
+    norm = np.zeros((m + k - 1, cfg.hop))
     for j in range(k - 1, -1, -1):
         out[j : j + n_frames] += blocks[:, j]
-        norm[j : j + n_frames] += wsq[j]
-    out = np.divide(out, norm, out=np.zeros_like(out), where=norm > norm.max() * 1e-12).ravel()
+        norm[j : j + m] += wsq[j]
+    if n_frames >= k:  # hop-blocks k-1 .. n_frames-1 get every phase: norm's row k-1
+        np.divide(out[k - 1 : n_frames], norm[k - 1], out=out[k - 1 : n_frames])
+        edges = ((out[: k - 1], norm[: k - 1]), (out[n_frames:], norm[k:]))
+    else:
+        edges = ((out, norm),)
+    floor = norm.max() * 1e-12
+    for part, part_norm in edges:
+        covered = part_norm > floor
+        np.divide(part, part_norm, out=part, where=covered)
+        part[~covered] = 0.0
     pad = cfg.n_fft // 2
-    y = out[pad : pad + target_len]
+    y = out.ravel()[pad : pad + target_len]
     if y.size < target_len:
         y = np.pad(y, (0, target_len - y.size))
     return y
-

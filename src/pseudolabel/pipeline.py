@@ -75,7 +75,8 @@ def estimate_snr(s3, y) -> float:
     if not np.any(y):
         raise ValueError("reference signal has zero energy")
     num = float(np.sum(s3 * s3))
-    den = float(np.sum((s3 - y) ** 2))
+    residual = s3 - y
+    den = float(np.sum(np.square(residual, out=residual)))
     if not (math.isfinite(num) and math.isfinite(den)):
         raise ValueError("signal energy is not finite (a non-finite sample, or an overflow)")
     if den == 0.0:

@@ -73,14 +73,18 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
                          f"the two signals, got {s1.size} + {y.size}")
 
     n = _fft_len(max(max(s1.size, y.size) + max_lag + 1, 2 * max_lag + 2))
-    cross = np.fft.rfft(s1, n) * np.conj(np.fft.rfft(y, n))
+    cross = np.fft.rfft(y, n)
+    np.multiply(np.fft.rfft(s1, n), np.conjugate(cross, out=cross), out=cross)
     mag = np.abs(cross)
     peak_mag = mag.max()
     if not 0.0 < peak_mag < math.inf:  # at 0 every lag would tie, and argmax picks the first
         raise ValueError("gcc_phat cross spectrum underflows to zero" if peak_mag == 0.0
                          else "gcc_phat cross spectrum is not finite")
     floor = max(1e-12 * peak_mag, np.finfo(np.float64).tiny)
-    corr = np.fft.irfft(cross / np.maximum(mag, floor), n)
+    np.maximum(mag, floor, out=mag)
+    for part in (cross.real, cross.imag):  # a real divisor: no complex division
+        np.divide(part, mag, out=part)
+    corr = np.fft.irfft(cross, n)
 
     # lag m lives at index m mod n; gather [-max_lag, max_lag] in order
     window = np.concatenate((corr[n - max_lag :], corr[: max_lag + 1]))

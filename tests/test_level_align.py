@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from pseudolabel.level_align import (
     solve_mflf,
     stack_frames,
 )
+from pseudolabel.synth import speech_like
 
 CFG = StftConfig()
+# The module, for its block size: the package's ``level_align`` is the function.
+level_align_module = importlib.import_module("pseudolabel.level_align")
+BLOCK = level_align_module._BLOCK
 
 
 def random_spec(n_frames, seed, cfg=CFG, scale=1.0):
@@ -92,10 +98,14 @@ def oracle_case(L, n_frames, kind):
 class TestOracles:
     # T < L as 1 or 2 frames: with more frames short of L, A is rank-deficient
     # but for the loading, and rounding moves h by up to cond(A) * eps ~ 5e-10.
+    # BLOCK - 1, BLOCK, BLOCK + 1 and 2 BLOCK + 1 frames straddle solve_mflf's blocks.
     CASES = [(L, n_frames, kind, diag_load)
              for L in (1, 2, 3, 5)
              for n_frames, kind, diag_load in ((40, "plain", 1e-6), (40, "plain", 0.0),
                                                (min(2, max(L - 1, 1)), "plain", 1e-6),
+                                               (BLOCK - 1, "plain", 1e-6), (BLOCK, "plain", 1e-6),
+                                               (BLOCK + 1, "plain", 1e-6),
+                                               (2 * BLOCK + 1, "plain", 1e-6),
                                                (30, "silent", 1e-6), (30, "singular", 0.0))]
 
     @pytest.mark.parametrize("L, n_frames, kind, diag_load", CASES)
@@ -114,6 +124,17 @@ class TestOracles:
             assert fs.flags[:20].all() and fs.flags[-5:].all() and not fs.flags[20:-5].any()
         if kind == "singular" and L > 1:
             assert np.flatnonzero(fs.flags).tolist() == [7]
+
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    def test_block_size_does_not_change_a_bit(self, L, monkeypatch):
+        # The running sums enter each block's reduction as its first row.
+        spec, Y = oracle_case(L, 2 * BLOCK + 1, "plain")
+        args = stack_frames(spec, L), Y, fcp_weights(Y, 1e-2), 1e-6
+        ref = solve_mflf(*args)
+        for block in (1, 7, BLOCK + 1, 10**6):
+            monkeypatch.setattr(level_align_module, "_BLOCK", block)
+            fs = solve_mflf(*args)
+            assert np.array_equal(fs.h, ref.h) and np.array_equal(fs.flags, ref.flags), block
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5])
     def test_normal_matrix_is_exactly_hermitian(self, L, monkeypatch):
@@ -446,6 +467,21 @@ class TestLevelAlign:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             level_align(np.ones(100), np.ones(99), CFG, MflfConfig())
+
+    def test_peak_memory_per_audio_second(self):
+        # tracemalloc's peak on a 30 s pair read 0.86 MiB per audio second on
+        # numpy 2.4.6 (1.96 before the blocked sums and the early frees); the
+        # bound leaves room for another numpy to allocate a little more.
+        seconds, rate = 30, 16000
+        s2 = speech_like(seconds, rate, 29)
+        y = 0.3 * s2 + 0.05 * np.random.default_rng(30).standard_normal(s2.size)
+        tracemalloc.start()
+        try:
+            level_align(s2, y, CFG, MflfConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 / seconds < 1.1
 
     def test_zero_reference_propagates(self):
         with pytest.raises(ValueError, match="unusable"):
