@@ -189,7 +189,9 @@ def _encode(samples: np.ndarray, encoding: str) -> tuple[np.ndarray, int, int]:
         raise ValueError(f"cannot write a NaN sample as {encoding}")
     bits = int(encoding[3:])
     full = 2.0 ** (bits - 1)
-    q = np.clip(np.round(inter * full), -full, full - 1).astype("<i4") << (32 - bits)
+    q = inter * full  # one float64 temporary, rounded and clipped in place
+    q = np.clip(np.round(q, out=q), -full, full - 1, out=q).astype("<i4")
+    q <<= 32 - bits
     top_bytes = q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :]
     return np.ascontiguousarray(top_bytes), 1, bits
 

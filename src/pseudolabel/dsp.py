@@ -103,8 +103,7 @@ def stft(signal, config: StftConfig) -> Spectrogram:
     pad = n_fft // 2
     n_frames = int(np.ceil(x.size / hop)) + 1
     total = (n_frames - 1) * hop + n_fft
-    buf = np.zeros(total)
-    buf[pad : pad + x.size] = x
+    buf = np.concatenate((np.zeros(pad), x, np.zeros(total - pad - x.size)))
     frames = np.lib.stride_tricks.sliding_window_view(buf, n_fft)[::hop]
     data = np.fft.rfft(frames * config.window(), axis=1)
     return Spectrogram(data, config)

@@ -87,8 +87,7 @@ def stack_frames(spec: Spectrogram, L: int) -> np.ndarray:
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     data = spec.data
-    padded = np.zeros((data.shape[0] + L - 1, data.shape[1]), dtype=np.complex128)
-    padded[L - 1:] = data
+    padded = np.concatenate((np.zeros((L - 1, data.shape[1]), dtype=np.complex128), data))
     return sliding_window_view(padded, L, axis=0)[:, :, ::-1]
 
 

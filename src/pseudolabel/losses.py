@@ -47,6 +47,13 @@ def _as_grid(x) -> np.ndarray:
     return arr
 
 
+def _grid_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    A, B = _as_grid(A), _as_grid(B)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    return A, B
+
+
 def _norms(A: np.ndarray, B: np.ndarray) -> tuple[float, float, float]:
     na = float(np.linalg.norm(A))
     nb = float(np.linalg.norm(B))
@@ -63,9 +70,7 @@ def _denom_guard(na: float, nb: float) -> float:
 def mca_loss(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> McaReport:
     """MSE plus alpha-weighted cosine-similarity loss between two grids."""
     _check_alpha(alpha)
-    A, B = _as_grid(A), _as_grid(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    A, B = _grid_pair(A, B)
     na, nb, inner = _norms(A, B)
     mse = float(np.mean((A - B) ** 2))
     cossim = 1.0 - inner / _denom_guard(na, nb)
@@ -75,9 +80,7 @@ def mca_loss(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> McaReport:
 def mca_grad(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> np.ndarray:
     """Gradient of the MCA loss with respect to the second grid ``B``."""
     _check_alpha(alpha)
-    A, B = _as_grid(A), _as_grid(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    A, B = _grid_pair(A, B)
     na, nb, inner = _norms(A, B)
     g_mse = 2.0 * (B - A) / A.size
     denom = _denom_guard(na, nb)
@@ -89,9 +92,7 @@ def mca_grad(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> np.ndarray:
 def iam_target(mag_S, mag_Y, clip_max: float = 2.0) -> np.ndarray:
     """Ideal amplitude mask ``min(|S| / |Y|, clip_max)``; ``|Y|`` must not be all zero."""
     _check_clip_max(clip_max)
-    S, Y = _as_grid(mag_S), _as_grid(mag_Y)
-    if S.shape != Y.shape:
-        raise ValueError(f"shape mismatch: {S.shape} vs {Y.shape}")
+    S, Y = _grid_pair(mag_S, mag_Y)
     if not Y.any():
         raise ValueError("mixture grid is all-zero")
     floor = max(1e-12 * float(Y.max()), np.finfo(np.float64).tiny)

@@ -12,7 +12,7 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -104,22 +104,18 @@ def filter_pairs(records: list[PseudoLabelRecord],
     return kept, discarded
 
 
-_ROW_FIELDS = [f.name for f in fields(PseudoLabelRecord) if f.name != "segment"]
 # A float is finite in JSON; record_to_dict writes an infinity as "inf" or "-inf".
 _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: 'a finite number, "inf", "-inf"',
                     str: "a string", type(None): "null"}
 
 
 def _json_rule(hint) -> tuple[set, str]:
-    """The JSON value types a row field annotated ``hint`` accepts, and their
-    names; a float field also takes an integer, and nothing but a bool field
-    takes a bool."""
+    """The types a row field annotated ``hint`` holds, and their JSON names."""
     types = get_args(hint) or (hint,)
-    return set(types) | ({int} if float in types else set()), \
-        " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+    return set(types), " or ".join(_JSON_TYPE_NAMES[t] for t in types)
 
 
-# Field name -> (accepted types, their names) for ``record_from_dict``, from
+# Row field name -> (its types, their JSON names), in declaration order, from
 # the annotations, evaluated once as ``SegmentRecord``'s are.
 _ROW_RULES = {name: _json_rule(hint) for name, hint in get_type_hints(PseudoLabelRecord).items()
               if name != "segment"}
@@ -231,26 +227,28 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
 
 
 def record_to_dict(rec: PseudoLabelRecord) -> dict:
-    out = rec.segment.to_dict() | {name: getattr(rec, name) for name in _ROW_FIELDS}
-    if rec.snr_db is not None and math.isinf(rec.snr_db):
-        out["snr_db"] = str(rec.snr_db)  # "inf"/"-inf": strict JSON has no infinity
+    out = rec.segment.to_dict()
+    for name in _ROW_RULES:
+        value = getattr(rec, name)
+        # Strict JSON has no infinity: a float field writes one as "inf" or "-inf".
+        out[name] = str(value) if isinstance(value, float) and math.isinf(value) else value
     return out
 
 
 def record_from_dict(obj: dict) -> PseudoLabelRecord:
+    """A row read back, each field checked against its annotation; a float field
+    also takes an integer or an "inf"/"-inf" sentinel, and stores a float."""
     segment = SegmentRecord.from_dict(obj)
-    row = {name: obj[name] for name in _ROW_FIELDS if name in obj}
+    row = {name: obj[name] for name in _ROW_RULES if name in obj}
     for name, value in row.items():
         types, names = _ROW_RULES[name]
-        if name == "snr_db" and value in ("inf", "-inf"):
-            continue
+        as_float = float in types and (type(value) in (int, float) or value in ("inf", "-inf"))
         # Python's json reads NaN, Infinity and -Infinity as floats; no row holds one.
-        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+        if not (as_float or type(value) in types) or \
+                (type(value) is float and not math.isfinite(value)):
             raise ValueError(f"{name} must be {names}, got {json.dumps(value)}")
-    rec = PseudoLabelRecord(segment, **row)
-    if rec.snr_db is not None:
-        rec.snr_db = float(rec.snr_db)  # also parses the "inf"/"-inf" sentinels
-    return rec
+        row[name] = float(value) if as_float else value
+    return PseudoLabelRecord(segment, **row)
 
 
 def write_results(records: list[PseudoLabelRecord], path) -> None:

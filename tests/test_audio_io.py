@@ -12,6 +12,7 @@ from pseudolabel.audio_io import (
     ManifestError,
     SegmentRecord,
     WavFormatError,
+    _frame_range,
     cut_segment,
     parse_segments,
     read_wav,
@@ -99,6 +100,20 @@ class TestWavRoundTrip:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_wav(tmp_path / "missing_dir" / "x.wav", AudioClip(np.zeros(10), 16000))
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "pcm32"])
+    def test_pcm_write_peak_is_one_and_a_half_inputs(self, tmp_path, encoding):
+        # One float64 temporary, rounded and clipped in place, then its int32
+        # cast: tracemalloc's peak read 1.50x the float64 input (2.00x when
+        # each quantizing step made a new array).
+        x = np.random.default_rng(4).uniform(-1.2, 1.2, 20 * 16000)
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "q.wav", AudioClip(x, 16000), encoding)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes < peak < 1.6 * x.nbytes
 
     def test_odd_payload_gets_a_pad_byte(self, tmp_path):
         # 7 PCM24 samples are a 21-byte payload; RIFF pads a chunk to an even size.
@@ -351,8 +366,14 @@ def _payload(rng, encoding: str, n_samples: int) -> bytes:
     return rng.standard_normal(n_samples).astype(dtype).tobytes()
 
 
+def _sliced(whole: AudioClip, start_s: float, end_s: float) -> AudioClip:
+    """The whole-file read sliced by the rule of a ranged read."""
+    i0, i1 = _frame_range(whole.n_samples, whole.sample_rate, start_s, end_s)
+    return AudioClip(whole.samples[:, i0:i1], whole.sample_rate)
+
+
 class TestRangedRead:
-    """``read_wav(p, a, b)`` is ``cut_segment(read_wav(p), a, b)``, seek for seek."""
+    """``read_wav(p, a, b)`` is the whole read ``read_wav(p)`` sliced, seek for seek."""
 
     @pytest.mark.parametrize("n_ch", [1, 2])
     @pytest.mark.parametrize("encoding", list(_RAW_ENCODINGS))
@@ -384,7 +405,7 @@ class TestRangedRead:
         outcomes = set()
         for a, b in pairs:
             ranged = _outcome(lambda: read_wav(path, a, b))
-            assert ranged == _outcome(lambda: cut_segment(whole, a, b)), (a, b)
+            assert ranged == _outcome(lambda: _sliced(whole, a, b)), (a, b)
             result, caught = ranged
             assert caught == [], (a, b)
             clamped = result[0] == "ok" and result[1][1] < round(b * rate) - round(a * rate)
@@ -413,7 +434,7 @@ class TestRangedRead:
         whole = read_wav(path)
         ranged = _outcome(lambda: read_wav(path, start, end))
         if end is not None:
-            assert ranged == _outcome(lambda: cut_segment(whole, start, end))
+            assert ranged == _outcome(lambda: _sliced(whole, start, end))
         if message is None:
             assert ranged == _outcome(lambda: whole)
         else:

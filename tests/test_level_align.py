@@ -152,11 +152,13 @@ class TestOracles:
         assert np.all(np.diagonal(A, axis1=1, axis2=2).imag == 0)
         assert np.array_equal(A, A.conj().transpose(0, 2, 1))
 
-    @pytest.mark.parametrize("L, n_frames", [(1, 6), (2, 6), (3, 6), (5, 6), (2, 1), (5, 3)])
+    @pytest.mark.parametrize("L, n_frames", [(1, 6), (1, 1), (2, 6), (3, 6), (5, 6), (2, 1),
+                                             (5, 3), (8, 2)])
     def test_stack_is_the_zero_filled_tensor_read_only(self, L, n_frames):
         spec = random_spec(n_frames, 30 + L)
         stacked = stack_frames(spec, L)
         assert np.array_equal(stacked, zero_filled_stack(spec, L))
+        assert not np.shares_memory(stacked, spec.data)  # a copy, even with one tap
         assert stacked.shape == (n_frames, CFG.n_bins, L)
         assert not stacked.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
