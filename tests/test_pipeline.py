@@ -426,6 +426,11 @@ class TestRetainFreedMemory:
 
 
 class TestResultsIO:
+    # Every float-annotated row field, read as record_from_dict reads them, so
+    # a new float field joins these tests as it is declared.
+    FLOAT_FIELDS = [name for name, hint in typing.get_type_hints(PseudoLabelRecord).items()
+                    if float in (typing.get_args(hint) or (hint,))]
+
     def test_round_trip_with_sentinels(self, tmp_path):
         seg = SegmentRecord("s", "a", 0.0, 1.0, "c.wav", "f.wav")
         records = [
@@ -438,20 +443,22 @@ class TestResultsIO:
             PseudoLabelRecord(seg, offset_samples=0, snr_db=-3.25, kept=True,
                               processed_at="t0"),
         ]
+        records += [PseudoLabelRecord(seg, **{name: value}) for name in self.FLOAT_FIELDS
+                    for value in (math.inf, -math.inf)]
+
+        def no_constant(literal):
+            raise AssertionError(f"bare {literal} in results.jsonl")
+
         path = tmp_path / "results.jsonl"
         write_results(records, path)
-        # strict JSON: every line must parse with a standard parser
+        # strict JSON: no line holds NaN, Infinity or -Infinity
         for line in path.read_text().splitlines():
-            json.loads(line)
+            json.loads(line, parse_constant=no_constant)
         back = read_results(path)
-        assert [r.snr_db for r in back] == [math.inf, -math.inf, None, -3.25]
-        assert [r.kept for r in back] == [True, False, False, True]
+        assert back == records
+        assert [r.snr_db for r in back[:4]] == [math.inf, -math.inf, None, -3.25]
+        assert [r.kept for r in back[:4]] == [True, False, False, True]
         assert back[2].status == "error: boom"
-
-    # Every float-annotated row field, read as record_from_dict reads them, so
-    # a new float field joins these tests as it is declared.
-    FLOAT_FIELDS = [name for name, hint in typing.get_type_hints(PseudoLabelRecord).items()
-                    if float in (typing.get_args(hint) or (hint,))]
 
     def test_every_float_field_round_trips_the_sentinels_and_an_integer(self):
         assert "snr_db" in self.FLOAT_FIELDS
@@ -462,24 +469,6 @@ class TestResultsIO:
                 assert json.loads(line)[name] == json.loads(text)
                 back = getattr(record_from_dict(json.loads(line)), name)
                 assert back == value and type(back) is float, (name, value)
-
-    def test_results_file_holds_no_bare_infinity_or_nan(self, tmp_path):
-        def no_constant(literal):
-            raise AssertionError(f"bare {literal} in results.jsonl")
-
-        seg, _ = write_scenario(tmp_path, "r", seed=90)
-        low, _ = write_scenario(tmp_path, "q", snr_db=-25.0, seed=91)
-        missing = SegmentRecord("m", "spk", 0.0, 1.0, "no.wav", "no2.wav")
-        records = run_tls([seg, low, missing], PipelineConfig(output_dir=str(tmp_path / "out")))
-        records += [PseudoLabelRecord(seg, **{name: value}) for name in self.FLOAT_FIELDS
-                    for value in (math.inf, -math.inf)]
-        path = tmp_path / "results.jsonl"
-        write_results(records, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(records)
-        for line in lines:
-            json.loads(line, parse_constant=no_constant)
-        assert read_results(path) == records
 
     @pytest.mark.parametrize("bad_line, line_no, message", [
         ('{"session_id": "s", "spea', 3, "invalid JSON"),  # torn by an interrupted write
