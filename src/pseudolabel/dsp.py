@@ -119,8 +119,9 @@ def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
     a per-frame loop would add them, and the same bits. The window
     overlap that divides them is the same in every hop-block that all
     phases reach, so it is summed, in the same order, over
-    ``min(n_frames, n_fft // hop)`` frames only, not over the whole
-    output.
+    ``min(n_frames, n_fft // hop)`` frames only. One edge rule serves any
+    frame count: the other hop-blocks divide by their own rows of that
+    sum, and are zeroed where it is below a floor.
     """
     if target_len <= 0:
         raise ValueError(f"target_len must be positive, got {target_len}")
@@ -138,13 +139,11 @@ def istft(spec: Spectrogram, target_len: int) -> np.ndarray:
     for j in range(k - 1, -1, -1):
         out[j : j + n_frames] += blocks[:, j]
         norm[j : j + m] += wsq[j]
-    if n_frames >= k:  # hop-blocks k-1 .. n_frames-1 get every phase: norm's row k-1
-        np.divide(out[k - 1 : n_frames], norm[k - 1], out=out[k - 1 : n_frames])
-        edges = ((out[: k - 1], norm[: k - 1]), (out[n_frames:], norm[k:]))
-    else:
-        edges = ((out, norm),)
+    # Hop-blocks k-1 .. n_frames-1 (none if n_frames < k) get every phase: norm's row k-1.
+    np.divide(out[k - 1 : n_frames], norm[k - 1], out=out[k - 1 : n_frames])
+    head = min(k - 1, n_frames)
     floor = norm.max() * 1e-12
-    for part, part_norm in edges:
+    for part, part_norm in ((out[:head], norm[:head]), (out[n_frames:], norm[m:])):
         covered = part_norm > floor
         np.divide(part, part_norm, out=part, where=covered)
         part[~covered] = 0.0

@@ -124,9 +124,9 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
     conjugate of ``sum_t g_k Y``, so ``Y`` is never conjugated. ``A`` is
     Hermitian, so only the pairs ``k >= l`` are summed, as ``s_k g_l``; on
     the diagonal that is ``w |s_k|^2``, whose real part is kept. Each
-    sum's running value is carried into the next block as the first row
-    of that block's products, and an axis-0 reduction adds rows in order,
-    so the sums have the same bits for any block size.
+    running sum starts at zero and enters every block's reduction as its
+    first row, and an axis-0 reduction adds rows in order, so the sums
+    have the same bits for any block size.
     """
     _check_diag_load(diag_load)
     n_frames, n_bins, L = stacked.shape
@@ -141,7 +141,7 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
     w = np.empty((rows, n_bins), dtype=np.complex128)  # complex: a product then needs no cast
     g = np.empty((L, rows, n_bins), dtype=np.complex128)
     prod = np.empty((rows + 1, n_bins), dtype=np.complex128)
-    sums = np.empty((len(pairs), n_bins), dtype=np.complex128)
+    sums = np.zeros((len(pairs), n_bins), dtype=np.complex128)
     for t0 in range(0, n_frames, _BLOCK):
         n = min(n_frames - t0, _BLOCK)
         blk = slice(t0, t0 + n)
@@ -149,40 +149,33 @@ def solve_mflf(stacked: np.ndarray, Y: Spectrogram, lam: np.ndarray,
         sources = [stacked[blk, :, k] for k in range(L)] + [Y.data[blk]]
         conj = [np.multiply(np.conjugate(s, out=gl), wb, out=gl)
                 for s, gl in zip(sources, g[:, :n])]
-        dst, rows_summed = prod[1:n + 1], prod[0 if t0 else 1:n + 1]
         for j, (i, l) in enumerate(pairs):
-            np.multiply(sources[i], conj[l], out=dst)
-            if t0:
-                prod[0] = sums[j]
-            np.add.reduce(rows_summed, axis=0, out=sums[j])
+            np.multiply(sources[i], conj[l], out=prod[1:n + 1])
+            prod[0] = sums[j]
+            np.add.reduce(prod[:n + 1], axis=0, out=sums[j])
 
     A = np.empty((n_bins, L, L), dtype=np.complex128)
     for (k, l), total in zip(pairs[L:], sums[L:]):
-        if k == l:
-            A[:, k, k] = total.real
-        else:
-            A[:, k, l], A[:, l, k] = total, total.conj()
+        A[:, k, l], A[:, l, k] = total, total.conj()
+    A.reshape(n_bins, L * L)[:, ::L + 1].imag = 0.0  # keep the diagonal's real part
     b = sums[:L].T.conj()
     trace = np.trace(A, axis1=1, axis2=2).real
-    if diag_load > 0:
-        A += (diag_load * trace / L)[:, None, None] * np.eye(L)
+    A += (diag_load * trace / L)[:, None, None] * np.eye(L)
 
     h = np.zeros((n_bins, L), dtype=np.complex128)
     flags = trace <= 0.0
     live = ~flags
-    if live.any():
-        try:
-            h[live] = np.linalg.solve(A[live], b[live][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for f in np.nonzero(live)[0]:
-                try:
-                    h[f] = np.linalg.solve(A[f], b[f])
-                except np.linalg.LinAlgError:
-                    flags[f] = True
+    try:
+        h[live] = np.linalg.solve(A[live], b[live][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        for f in np.nonzero(live)[0]:
+            try:
+                h[f] = np.linalg.solve(A[f], b[f])
+            except np.linalg.LinAlgError:
+                flags[f] = True
     bad = ~np.isfinite(h).all(axis=1)
-    if bad.any():
-        h[bad] = 0.0
-        flags |= bad
+    h[bad] = 0.0
+    flags |= bad
     return FilterSet(h=h, flags=flags)
 
 

@@ -127,14 +127,18 @@ class TestOracles:
 
     @pytest.mark.parametrize("L", [1, 2, 5])
     def test_block_size_does_not_change_a_bit(self, L, monkeypatch):
-        # The running sums enter each block's reduction as its first row.
-        spec, Y = oracle_case(L, 2 * BLOCK + 1, "plain")
-        args = stack_frames(spec, L), Y, fcp_weights(Y, 1e-2), 1e-6
-        ref = solve_mflf(*args)
-        for block in (1, 7, BLOCK + 1, 10**6):
-            monkeypatch.setattr(level_align_module, "_BLOCK", block)
-            fs = solve_mflf(*args)
-            assert np.array_equal(fs.h, ref.h) and np.array_equal(fs.flags, ref.flags), block
+        # Each running sum starts at zero and enters every block's reduction as its first
+        # row. The bytes are compared, so a signed zero counts.
+        for kind, diag_load in (("plain", 1e-6), ("silent", 0.0), ("singular", 0.0)):
+            spec, Y = oracle_case(L, 2 * BLOCK + 1, kind)
+            args = stack_frames(spec, L), Y, fcp_weights(Y, 1e-2), diag_load
+            monkeypatch.setattr(level_align_module, "_BLOCK", BLOCK)
+            ref = solve_mflf(*args)
+            for block in (1, 7, BLOCK + 1, 10**6):
+                monkeypatch.setattr(level_align_module, "_BLOCK", block)
+                fs = solve_mflf(*args)
+                assert fs.h.tobytes() == ref.h.tobytes(), (kind, block)
+                assert np.array_equal(fs.flags, ref.flags), (kind, block)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5])
     def test_normal_matrix_is_exactly_hermitian(self, L, monkeypatch):
@@ -300,6 +304,16 @@ class TestSolveMflf:
         assert fs.flags[0] and fs.flags[-1]
         assert not fs.flags[50]
         assert np.all(fs.h[fs.flags] == 0)
+
+    @pytest.mark.parametrize("diag_load", [0.0, 1e-6])
+    def test_no_live_bin_solves_an_empty_batch(self, diag_load):
+        # A silent close-talk signal: every trace is zero, so the batched solve gets no bin.
+        stacked = stack_frames(Spectrogram(np.zeros((30, CFG.n_bins), dtype=complex), CFG), 2)
+        Y = random_spec(30, 21)
+        with np.errstate(all="raise"):  # as on the run path
+            fs = solve_mflf(stacked, Y, fcp_weights(Y, 1e-2), diag_load)
+        assert fs.flags.all()
+        assert fs.h.shape == (CFG.n_bins, 2) and np.all(fs.h == 0)
 
     def test_singular_live_bin_falls_back_to_per_bin_solve(self):
         # With no loading, a bin whose only nonzero frame is the last one has
