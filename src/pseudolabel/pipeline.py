@@ -163,7 +163,8 @@ def _retain_freed_memory() -> None:
 
 
 def _output_name(seg: SegmentRecord) -> str:
-    return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{seg.end_s:.3f}.wav"
+    # No WAV lasts 2**32 s (a 32-bit data size at >= 1 Hz), so every larger end cuts the same.
+    return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{min(seg.end_s, 2**32):.3f}.wav"
 
 
 def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConfig,
@@ -174,8 +175,8 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
     try:
         # Both ids become part of the output file name.
         for name in ("session_id", "speaker_id"):
-            if set(getattr(seg, name)) & {"/", os.sep, os.altsep}:
-                raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator")
+            if set(getattr(seg, name)) & {"/", os.sep, os.altsep, "\0"}:
+                raise ValueError(f"{name} {getattr(seg, name)!r} contains a path separator or NUL")
         if clash is not None:
             raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):

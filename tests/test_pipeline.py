@@ -192,6 +192,32 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
         written = {p for p in (tmp_path / "deep").rglob("*") if p.is_file()}
         assert written == {Path(records[1].output_path)}
 
+    @pytest.mark.parametrize("threshold", [-math.inf, math.inf], ids=["kept", "discarded"])
+    def test_nul_in_id_fails_that_row_before_any_read(self, tmp_path, threshold):
+        good, _ = write_scenario(tmp_path, "g", seed=50)
+        absent = dataclasses.replace(good, close_talk_path=str(tmp_path / "absent.wav"))
+        segs = [dataclasses.replace(good, session_id="s\0"), good,
+                dataclasses.replace(absent, speaker_id="a\0b")]
+        out_dir = tmp_path / "out"
+        records = run_tls(segs, PipelineConfig(output_dir=str(out_dir), snr_threshold_db=threshold))
+        assert records[0].status == "error: session_id 's\\x00' contains a path separator or NUL"
+        assert records[2].status == "error: speaker_id 'a\\x00b' contains a path separator or NUL"
+        assert records[1].status == "ok" and records[1].kept == (threshold < 0)
+        assert not records[0].kept and not records[2].kept
+        assert list(out_dir.glob("*")) == ([Path(records[1].output_path)] if threshold < 0 else [])
+
+    def test_huge_end_names_the_clamped_cut(self, tmp_path):
+        # A WAV lasts under 2**32 s, so every end from there on cuts the same and names it alike.
+        good, _ = write_scenario(tmp_path, "e", seed=52)
+        segs = [dataclasses.replace(good, end_s=1e305), dataclasses.replace(good, end_s=1e300), good]
+        records = run_tls(segs, PipelineConfig(output_dir=str(tmp_path / "out")))
+        name = "e_spk_0.000_4294967296.000.wav"
+        assert records[0].status == "ok" and records[0].kept
+        assert Path(records[0].output_path).name == name
+        assert records[1].status == f"error: output name {name} collides with row 0"
+        assert records[2].status == "ok" and records[2].snr_db == records[0].snr_db
+        assert Path(records[0].output_path).read_bytes() == Path(records[2].output_path).read_bytes()
+
     @pytest.mark.parametrize("which", ["close_talk_path", "farfield_path"])
     def test_nan_sample_fails_that_row(self, tmp_path, which):
         segs = [write_scenario(tmp_path, f"n{i}", seed=60 + i)[0] for i in range(3)]
