@@ -1,15 +1,16 @@
-import concurrent.futures
 import dataclasses
 import datetime
 import json
 import math
 import os
+import pickle
 import platform
+import signal
 import subprocess
 import sys
+import time
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,6 +49,9 @@ def write_scenario(tmp_path, name, delay=160, gain=0.5, snr_db=10.0, seconds=3.0
     seg = SegmentRecord(name, "spk", 0.0, far.size / 16000, str(close_path), str(far_path))
     gt_snr = 10 * math.log10(np.sum(direct**2) / np.sum((far - direct) ** 2)) if math.isfinite(snr_db) else math.inf
     return seg, gt_snr
+
+
+needs_fork = pytest.mark.skipif(not pipeline._CAN_FORK, reason="run_tls forks no worker here")
 
 
 class TestRunTls:
@@ -123,38 +127,41 @@ class TestRunTls:
             assert a.kept == b.kept
             assert a.status == b.status
 
+    @needs_fork
     def test_pool_is_never_larger_than_the_manifest(self, tmp_path, monkeypatch):
         segs = [write_scenario(tmp_path, f"p{i}", seed=60 + i)[0] for i in range(2)]
-        opened = []
+        forks = []
+        fork = os.fork
 
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                opened.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def counting_fork():
+            forks.append(1)  # in the parent, before the child exists
+            return fork()
 
-        # run_tls imports the pool class from concurrent.futures when it opens one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         out = str(tmp_path / "out")  # one directory, so output_path compares equal too
         pooled = run_tls(segs, PipelineConfig(worker_count=8, output_dir=out))
-        assert opened == [2]
+        assert len(forks) == 2
         serial = run_tls(segs, PipelineConfig(worker_count=1, output_dir=out))
         run_tls(segs[:1], PipelineConfig(worker_count=8, output_dir=out))
         run_tls([], PipelineConfig(worker_count=8, output_dir=out))
-        assert opened == [2]  # one worker or one segment: no pool
+        assert len(forks) == 2  # one worker or one segment: no fork
         strip = lambda rec: record_to_dict(rec) | {"processed_at": ""}
         assert [strip(r) for r in pooled] == [strip(r) for r in serial]
         assert [r.status for r in serial] == ["ok", "ok"]
 
-    # A serial run never loads the process pool's machinery; checked in a
-    # fresh interpreter, as this one has opened pools already.
-    def test_serial_run_loads_no_pool(self, tmp_path):
+    # Neither a serial nor a pooled run loads an executor's machinery; checked
+    # in a fresh interpreter, as this one may have loaded it for another test.
+    @staticmethod
+    def _modules_a_run_loads(tmp_path, workers):
         seg, _ = write_scenario(tmp_path, "lean", seconds=1.0, seed=70)
+        other = dataclasses.replace(seg, speaker_id="other")
         manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text(json.dumps(seg.to_dict()) + "\n")
+        manifest.write_text(json.dumps(seg.to_dict()) + "\n" + json.dumps(other.to_dict()) + "\n")
         code = f"""
 import json, sys
 from pseudolabel import PipelineConfig, parse_segments, run_tls
-rows = run_tls(parse_segments({str(manifest)!r}), PipelineConfig(output_dir={str(tmp_path / "out")!r}))
+rows = run_tls(parse_segments({str(manifest)!r}),
+               PipelineConfig(output_dir={str(tmp_path / "out")!r}, worker_count={workers}))
 names = ("concurrent.futures.process", "multiprocessing")
 print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.modules]]))
 """
@@ -163,8 +170,129 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
                               env=os.environ | {"PYTHONPATH": str(src)}, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         statuses, loaded = json.loads(proc.stdout)
-        assert statuses == ["ok"]
-        assert loaded == []
+        assert statuses == ["ok", "ok"]
+        return loaded
+
+    def test_serial_run_loads_no_pool(self, tmp_path):
+        assert self._modules_a_run_loads(tmp_path, 1) == []
+
+    def test_pooled_run_loads_no_executor(self, tmp_path):
+        assert self._modules_a_run_loads(tmp_path, 2) == []
+
+    # 7 rows, so the last chunk is short at 2 and at 3 workers; row 2 fails to
+    # read, row 4 collides with row 0, and row 5 is discarded.
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_rows_and_wavs_equal_serial(self, tmp_path, workers):
+        segs = [write_scenario(tmp_path, f"m{i}", seconds=1.0, seed=80 + i,
+                               snr_db=-20.0 if i == 3 else 10.0)[0] for i in range(5)]
+        missing = SegmentRecord("missing", "spk", 0.0, 1.0, "no.wav", "no2.wav")
+        manifest = segs[:2] + [missing, segs[2], segs[0]] + segs[3:]
+        runs = {}
+        for count in (1, workers):
+            out = tmp_path / f"out{count}"
+            rows = run_tls(manifest, PipelineConfig(worker_count=count, output_dir=str(out)))
+            wavs = {p.name: p.read_bytes() for p in out.iterdir()}
+            runs[count] = [record_to_dict(r) | {"processed_at": "",
+                                                "output_path": r.output_path and Path(r.output_path).name}
+                           for r in rows], wavs
+        assert runs[workers] == runs[1]
+        statuses = [row["status"] for row in runs[1][0]]
+        assert statuses[2].startswith("error: ") and statuses[4].startswith("error: output name ")
+        assert [row["kept"] for row in runs[1][0]] == [True, True, False, True, False, False, True]
+
+    @needs_fork
+    def test_dead_worker_raises_and_leaves_no_child(self, tmp_path, monkeypatch):
+        def dies_on_row_2(seg, clash, config):
+            if seg.start_s == 2.0:
+                os._exit(3)
+            return PseudoLabelRecord(seg)
+
+        monkeypatch.setattr(pipeline, "_process_segment", dies_on_row_2)
+        segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
+        with pytest.raises(RuntimeError, match=r"\(exit status 3\) before returning row 2$"):
+            run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # A fault in the parent while a worker is busy: it propagates, and the busy
+    # worker is killed rather than waited for.
+    @needs_fork
+    def test_parent_exception_propagates_and_leaves_no_child(self, tmp_path, monkeypatch):
+        def stalls_on_row_2(seg, clash, config):
+            if seg.start_s == 2.0:
+                time.sleep(60)
+            return PseudoLabelRecord(seg)
+
+        def load(file):
+            raise ZeroDivisionError("fault in the parent")
+
+        monkeypatch.setattr(pipeline, "_process_segment", stalls_on_row_2)
+        monkeypatch.setattr(pickle, "load", load)
+        segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
+        t0 = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="fault in the parent"):
+            run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # Ctrl-C sends SIGINT to the whole process group. A worker it reaches exits
+    # without a traceback; the parent raises KeyboardInterrupt, or, when only a
+    # worker got it, reports that worker's end. Run in a session of its own.
+    @needs_fork
+    @pytest.mark.parametrize("target", ["worker", "group"])
+    def test_interrupt_leaves_no_child_and_no_traceback(self, tmp_path, target):
+        ready = tmp_path / "ready"
+        ready.mkdir()
+        code = f"""
+import json, os, signal, time
+from pseudolabel import PipelineConfig, SegmentRecord, pipeline
+
+def stall(seg, clash, config):
+    open(os.path.join({str(ready)!r}, str(os.getpid())), "w").close()
+    time.sleep(60)
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+pipeline._process_segment = stall
+segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
+try:
+    pipeline.run_tls(segs, PipelineConfig(worker_count=2, output_dir={str(tmp_path / "out")!r}))
+except (KeyboardInterrupt, RuntimeError) as exc:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    print(json.dumps([type(exc).__name__, str(exc), left]))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True,
+                                env=os.environ | {"PYTHONPATH": str(src)}, cwd=tmp_path)
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(ready.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            pids = sorted(int(p.name) for p in ready.iterdir())
+            assert len(pids) == 2
+            if target == "worker":
+                os.kill(pids[0], signal.SIGINT)
+            else:
+                os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert stderr == ""
+        kind, message, left = json.loads(stdout)
+        if target == "worker":
+            assert kind == "RuntimeError"
+            assert "(exit status 1) before returning row" in message
+        else:
+            assert kind == "KeyboardInterrupt"
+        assert not left
 
     def test_multichannel_reference_uses_first_channel(self, tmp_path):
         seg, gt_snr = write_scenario(tmp_path, "mc", delay=120, snr_db=12.0, seed=40)
