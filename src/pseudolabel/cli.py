@@ -1,7 +1,6 @@
 """Command line front-end.
 
 Subcommands: ``run`` (batch pipeline), ``simulate`` (synthetic corpus),
-``snr`` (segment SNR of two WAVs), ``align`` (offset diagnostics),
 ``iam`` (mask target generation, saved as ``.npy``). ``run`` also accepts
 a ``key=value`` config file; explicit flags override file values.
 
@@ -26,9 +25,8 @@ from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
 from .losses import _check_clip_max, iam_target
-from .pipeline import PipelineConfig, estimate_snr, read_pair, run_tls, write_results
+from .pipeline import PipelineConfig, read_pair, run_tls, write_results
 from .synth import simulate_corpus
-from .time_align import gcc_phat
 
 # Public ``run`` key -> the config field it sets. The dataclasses own every
 # type and default; the config-file types and the flags are derived here.
@@ -138,15 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         sim.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
                          default=default)
 
-    snr = sub.add_parser("snr", help="estimated SNR of an estimate against a reference WAV")
-    snr.add_argument("estimate")
-    snr.add_argument("reference")
-
-    align = sub.add_parser("align", help="time-offset diagnostics for two WAVs")
-    align.add_argument("close")
-    align.add_argument("reference")
-    _add_field_flag(align, "max_lag_s", default=_field_default("max_lag_s"))
-
     iam = sub.add_parser("iam", help="ideal amplitude mask target from clean + mixture WAVs")
     iam.add_argument("clean")
     iam.add_argument("mixture")
@@ -206,25 +195,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_snr(args) -> int:
-    with _input_faults():
-        estimate, reference, _ = read_pair(args.estimate, args.reference)
-        snr_db = estimate_snr(estimate, reference)
-    print(f"{snr_db:.6g}")
-    return 0
-
-
-def _cmd_align(args) -> int:
-    PipelineConfig(max_lag_s=args.max_lag_s)  # run's rule for max_lag_s, before either read
-    with _input_faults():
-        close, reference, rate = read_pair(args.close, args.reference)
-        result = gcc_phat(close, reference, max_lag=int(round(args.max_lag_s * rate)))
-    offset_s = result.offset_samples / rate
-    print(f"offset_samples={result.offset_samples} offset_s={offset_s:.6f} "
-          f"peak_value={result.peak_value:.6g} peak_ratio={result.peak_ratio:.6g}")
-    return 0
-
-
 def _cmd_iam(args) -> int:
     _check_clip_max(args.clip_max)  # flag faults, so checked before either read
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
@@ -241,8 +211,6 @@ def _cmd_iam(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "simulate": _cmd_simulate,
-    "snr": _cmd_snr,
-    "align": _cmd_align,
     "iam": _cmd_iam,
 }
 

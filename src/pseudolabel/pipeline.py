@@ -49,7 +49,7 @@ class PipelineConfig:
 
 @dataclass
 class PseudoLabelRecord:
-    """Outcome of processing one segment: offset, SNR, keep decision.
+    """Outcome of processing one segment: offset and its peak ratio, SNR, keep decision.
 
     A result row holds the segment's fields followed by the other fields
     here, in declaration order; a key absent from a row reads back as the
@@ -63,6 +63,8 @@ class PseudoLabelRecord:
     status: str = "ok"
     output_path: str | None = None
     processed_at: str = ""
+    # Last: a record built positionally, as (segment, offset, snr, kept), keeps its meaning.
+    peak_ratio: float | None = None
 
 
 def estimate_snr(s3, y) -> float:
@@ -188,7 +190,7 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
             align = gcc_phat(s1, y, max_lag=max_lag)
             shifted = apply_shift(s1, align.offset_samples, y.size)
             pseudo = level_align(shifted, y, config.stft, config.mflf)
-            rec.offset_samples = align.offset_samples
+            rec.offset_samples, rec.peak_ratio = align.offset_samples, align.peak_ratio
             rec.snr_db = estimate_snr(pseudo, y)
             filter_pairs([rec], config.snr_threshold_db)
             if rec.kept:

@@ -16,10 +16,10 @@ import numpy as np
 
 @dataclass
 class AlignmentResult:
-    """Offset estimate plus peak diagnostics from the correlation surface."""
+    """Offset estimate, and the correlation peak over the window's second highest value
+    (``inf`` when no other lag is positive): how far the offset can be trusted."""
 
     offset_samples: int
-    peak_value: float
     peak_ratio: float
 
 
@@ -93,7 +93,7 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     peak = float(window[idx])
     second = float(np.delete(window, idx).max(initial=0.0))
     ratio = peak / second if second > 0.0 else math.inf
-    return AlignmentResult(offset_samples=offset, peak_value=peak, peak_ratio=ratio)
+    return AlignmentResult(offset_samples=offset, peak_ratio=ratio)
 
 
 def apply_shift(s1, offset_samples: int, target_len: int) -> np.ndarray:

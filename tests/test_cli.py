@@ -17,8 +17,9 @@ from pseudolabel.cli import build_parser, main, parse_config_file
 from pseudolabel.dsp import WINDOW_KINDS, StftConfig, stft
 from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
-from pseudolabel.pipeline import filter_pairs
+from pseudolabel.pipeline import filter_pairs, read_pair
 from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
+from pseudolabel.time_align import gcc_phat
 from rawwav import raw_wav_bytes
 
 
@@ -55,13 +56,12 @@ class TestBasics:
         assert sorted(pseudolabel.__all__) == sorted(bound)
 
 
-@pytest.mark.parametrize("command", ["snr", "align", "iam"])
+@pytest.mark.parametrize("command", ["iam"])
 def test_two_wav_commands_reject_differing_rates(tmp_path, capsys, command):
     x = speech_like(0.5, 16000, 0)
     a = wav_of(tmp_path, "a16k.wav", x)
     b = wav_of(tmp_path, "b8k.wav", x[::2], rate=8000)
-    extra = ["-o", str(tmp_path / "mask.npy")] if command == "iam" else []
-    assert main([command, a, b] + extra) == 1
+    assert main([command, a, b, "-o", str(tmp_path / "mask.npy")]) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == \
            f"{command}: sample rates differ: 16000 Hz in {a}, 8000 Hz in {b}"
@@ -69,14 +69,13 @@ def test_two_wav_commands_reject_differing_rates(tmp_path, capsys, command):
     assert not (tmp_path / "mask.npy").exists()
 
 
-@pytest.mark.parametrize("command", ["snr", "align", "iam"])
+@pytest.mark.parametrize("command", ["iam"])
 def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
     x = speech_like(0.5, 16000, 0)
     a = wav_of(tmp_path, "a.wav", x)
     x[x.size // 2] = np.nan
     b = wav_of(tmp_path, "b_nan.wav", x)
-    extra = ["-o", str(tmp_path / "mask.npy")] if command == "iam" else []
-    assert main([command, a, b] + extra) == 1
+    assert main([command, a, b, "-o", str(tmp_path / "mask.npy")]) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == f"{command}: non-finite sample in {b}"
     assert captured.out == ""
@@ -90,30 +89,18 @@ def float64_wav_of(tmp_path, name, samples, rate=16000) -> str:
     return str(path)
 
 
-# A pair scaled by 1e300 (true SNR 20 dB) overflows in the SNR and in the
-# cross spectrum; the command fails instead of printing nan and exiting 0.
-@pytest.mark.parametrize("command", ["snr", "align"])
+# A 1e300 clean file over a 1e-300 mixture overflows the magnitude ratio; the
+# command fails instead of writing a mask of inf.
+@pytest.mark.parametrize("command", ["iam"])
 def test_two_wav_commands_reject_an_overflow(tmp_path, capsys, command):
-    rng = np.random.default_rng(5)
-    s = rng.standard_normal(8000)
+    s = np.random.default_rng(5).standard_normal(8000)
     a = float64_wav_of(tmp_path, "a.wav", 1e300 * s)
-    b = float64_wav_of(tmp_path, "b.wav", 1e300 * (s + 0.1 * rng.standard_normal(8000)))
-    assert main([command, a, b]) == 1
+    b = float64_wav_of(tmp_path, "b.wav", 1e-300 * s)
+    assert main([command, a, b, "-o", str(tmp_path / "mask.npy")]) == 1
     captured = capsys.readouterr()
-    assert captured.err.strip() == f"{command}: overflow encountered in multiply"
+    assert captured.err.strip() == f"{command}: overflow encountered in divide"
     assert captured.out == ""
-
-
-# A pair scaled by 1e-165 underflows the cross spectrum to all zeros; align
-# fails instead of printing the window's first lag as the offset.
-def test_align_rejects_an_underflowing_pair(tmp_path, capsys):
-    x = speech_like(2.0, 16000, 0)
-    a = float64_wav_of(tmp_path, "a.wav", 1e-165 * x)
-    b = float64_wav_of(tmp_path, "b.wav", 1e-165 * np.concatenate((np.zeros(120), x))[: x.size])
-    assert main(["align", a, b]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "align: gcc_phat cross spectrum underflows to zero\n"
-    assert captured.out == ""
+    assert not (tmp_path / "mask.npy").exists()
 
 
 def empty_wav_of(tmp_path, name) -> str:
@@ -129,90 +116,19 @@ _EXIT_RULE = {"missing": 1, "undecodable": 1, "incomparable": 1, "bad_flag": 2}
 
 
 @pytest.mark.parametrize("fault", list(_EXIT_RULE))
-@pytest.mark.parametrize("command", ["snr", "align", "iam"])
+@pytest.mark.parametrize("command", ["iam"])
 def test_exit_code_rule(tmp_path, capsys, command, fault):
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"neither a WAV nor a grid")
     good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
-    incomparable = (empty_wav_of(tmp_path, "empty.wav") if command == "iam"
-                    else wav_of(tmp_path, "silent.wav", np.zeros(8000)))
-    bad_flag = {"snr": ["--bogus"], "align": ["--max-lag-s", "0"],
-                "iam": ["--n-fft", "100"]}[command]
     second = {"missing": tmp_path / "missing", "undecodable": junk,
-              "incomparable": incomparable, "bad_flag": good}[fault]
-    argv = [command, str(good), str(second)]
-    argv += ["-o", str(tmp_path / "mask.npy")] if command == "iam" else []
-    argv += bad_flag if fault == "bad_flag" else []
+              "incomparable": empty_wav_of(tmp_path, "empty.wav"), "bad_flag": good}[fault]
+    argv = [command, str(good), str(second), "-o", str(tmp_path / "mask.npy")]
+    argv += ["--n-fft", "100"] if fault == "bad_flag" else []
     assert main(argv) == _EXIT_RULE[fault]
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err
     assert not (tmp_path / "mask.npy").exists()
-
-
-def test_align_and_snr_agree_on_a_silent_reference(tmp_path, capsys):
-    good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
-    silent = wav_of(tmp_path, "silent.wav", np.zeros(8000))
-    assert main(["snr", good, silent]) == main(["align", good, silent]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "snr: reference signal has zero energy",
-        "align: gcc_phat requires both signals to have nonzero energy"]
-
-
-class TestSnrCommand:
-    def test_identical_files_print_inf(self, tmp_path, capsys):
-        x = speech_like(0.5, 16000, 0)
-        a = wav_of(tmp_path, "a.wav", x)
-        assert main(["snr", a, a]) == 0
-        assert capsys.readouterr().out.strip() == "inf"
-
-    def test_finite_value(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        s = rng.standard_normal(8000)
-        n = rng.standard_normal(8000)
-        n *= np.sqrt(np.sum(s**2) / np.sum(n**2))
-        a = wav_of(tmp_path, "a.wav", s)
-        b = wav_of(tmp_path, "b.wav", s + n)
-        assert main(["snr", a, b]) == 0
-        printed = float(capsys.readouterr().out.strip())
-        assert printed == pytest.approx(0.0, abs=0.01)
-
-    def test_length_mismatch_is_a_bad_pair(self, tmp_path, capsys):
-        x = speech_like(0.5, 16000, 0)
-        a = wav_of(tmp_path, "a.wav", x)
-        b = wav_of(tmp_path, "b.wav", x[:-100])
-        assert main(["snr", a, b]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.strip() == "snr: length mismatch: (8000,) vs (7900,)"
-        assert captured.out == ""
-
-    def test_missing_file_is_io_error(self, tmp_path, capsys):
-        missing = tmp_path / "no.wav"
-        assert main(["snr", str(missing), str(tmp_path / "no2.wav")]) == 1
-        assert capsys.readouterr().err.strip() == \
-               f"snr: [Errno 2] No such file or directory: {str(missing)!r}"
-
-
-class TestAlignCommand:
-    def test_reports_offset(self, tmp_path, capsys):
-        rng = np.random.default_rng(2)
-        s1 = rng.standard_normal(16000)
-        y = 0.5 * np.concatenate((np.zeros(160), s1))[:16000]
-        a = wav_of(tmp_path, "c.wav", s1)
-        b = wav_of(tmp_path, "f.wav", y)
-        assert main(["align", a, b]) == 0
-        out = capsys.readouterr().out
-        assert "offset_samples=-160" in out
-        keys = [field.split("=")[0] for field in out.split()]
-        assert keys == ["offset_samples", "offset_s", "peak_value", "peak_ratio"]
-
-
-    @pytest.mark.parametrize("max_lag_s", ["inf", "nan", "-1", "0"])
-    def test_bad_max_lag_is_usage_error_before_any_read(self, tmp_path, capsys, max_lag_s):
-        missing = str(tmp_path / "missing.wav")
-        assert main(["align", missing, missing, "--max-lag-s", max_lag_s]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("pseudolabel align: max_lag_s must be positive and finite")
-        assert captured.out == ""
 
 
 class TestIamCommand:
@@ -294,6 +210,25 @@ class TestSimulateAndRun:
             assert row["kept"] is True
         summary = capsys.readouterr().out
         assert "3 segments" in summary
+
+    # What the align command printed: a one-row manifest over the whole pair gives
+    # gcc_phat's offset and peak ratio on the same samples, at run's max_lag_s.
+    def test_one_row_manifest_gives_the_offset_and_peak_ratio(self, tmp_path):
+        rng = np.random.default_rng(2)
+        s1 = rng.standard_normal(16000)
+        y = 0.5 * np.concatenate((np.zeros(160), s1))[:16000]
+        a, b = wav_of(tmp_path, "c.wav", s1), wav_of(tmp_path, "f.wav", y)
+        row = {"session_id": "s", "speaker_id": "a", "start_s": 0, "end_s": 2.0,
+               "close_talk_path": a, "farfield_path": b}
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+        (result,) = map(json.loads, (out / "results.jsonl").read_text().splitlines())
+        close, far, rate = read_pair(a, b)
+        want = gcc_phat(close, far, max_lag=round(PipelineConfig().max_lag_s * rate))
+        assert result["offset_samples"] == want.offset_samples == -160
+        assert result["peak_ratio"] == want.peak_ratio > 1.0
 
     def test_rate_comes_from_the_files(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -640,12 +575,11 @@ class TestFlagDefaults:
         flags = {command: {a.dest: a.default for a in sub._actions
                            if a.option_strings and a.dest != "help"}
                  for command, sub in subparsers.choices.items()}
-        assert list(flags) == ["run", "simulate", "snr", "align", "iam"]
+        assert list(flags) == ["run", "simulate", "iam"]
         stft, sim = StftConfig(), _signature_defaults(simulate_corpus)
         # run's flags default to unset, so its config file and the dataclasses
         # fill in (TestRunConfig); required flags have no default to own.
         assert set(flags["run"].values()) == {None}
-        assert flags["align"] == {"max_lag_s": PipelineConfig().max_lag_s}
         assert flags["iam"] == {"out": None, "n_fft": stft.n_fft, "hop": stft.hop,
                                 "window": stft.window_kind,
                                 "clip_max": _signature_defaults(iam_target)["clip_max"]}

@@ -9,9 +9,10 @@ and the length and sum of squares of each kept WAV are committed under
 rewrites them, and a change that runs it means to change outputs.
 
 Offsets, keep decisions, statuses and output paths must match exactly.
-`snr_db` may differ by 1e-9 dB and a kept WAV's energy by 1e-12
-relative, which leaves room for numpy's FFT to round differently across
-versions, but for no decision to change.
+`snr_db` may differ by 1e-9 dB, `peak_ratio` by 1e-9 relative and a kept
+WAV's energy by 1e-12 relative, which leaves room for numpy's FFT to
+round differently across versions and SIMD dispatch, but for no decision
+to change. A null or an "inf"/"-inf" sentinel must match exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pseudolabel.synth import simulate_corpus
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "contract"
 SNR_TOL_DB = 1e-9
+PEAK_RATIO_RTOL = 1e-9
 ENERGY_RTOL = 1e-12
 
 
@@ -105,9 +107,14 @@ def load_fixture() -> tuple[list[dict], list[dict]]:
                  for name in ("rows.jsonl", "kept_wavs.jsonl"))
 
 
-def _snr_close(got, want) -> bool:
+# The float keys that may round differently, and math.isclose's tolerances for each.
+_TOLERANCES = {"snr_db": {"rel_tol": 0.0, "abs_tol": SNR_TOL_DB},
+               "peak_ratio": {"rel_tol": PEAK_RATIO_RTOL}}
+
+
+def _close(key, got, want) -> bool:
     if isinstance(got, (int, float)) and isinstance(want, (int, float)):
-        return math.isfinite(got) and abs(got - want) <= SNR_TOL_DB
+        return math.isfinite(got) and math.isclose(got, want, **_TOLERANCES[key])
     return got == want  # null, or an "inf"/"-inf" sentinel
 
 
@@ -118,9 +125,10 @@ def test_rows_and_kept_wavs_match_the_fixture(outputs, workers):
     assert len(rows) == len(want_rows)
     for i, (got, want) in enumerate(zip(rows, want_rows)):
         assert got.keys() == want.keys(), i
-        assert {k: v for k, v in got.items() if k != "snr_db"} == \
-               {k: v for k, v in want.items() if k != "snr_db"}, i
-        assert _snr_close(got["snr_db"], want["snr_db"]), (i, got["snr_db"], want["snr_db"])
+        assert {k: v for k, v in got.items() if k not in _TOLERANCES} == \
+               {k: v for k, v in want.items() if k not in _TOLERANCES}, i
+        for key in _TOLERANCES:
+            assert _close(key, got[key], want[key]), (i, key, got[key], want[key])
     assert [w["output_path"] for w in wavs] == [w["output_path"] for w in want_wavs]
     for got, want in zip(wavs, want_wavs):
         assert got["n_samples"] == want["n_samples"], got["output_path"]
@@ -139,6 +147,7 @@ def test_worker_counts_give_the_same_rows_and_kept_wav_bytes(outputs):
 def test_fixture_covers_every_outcome():
     rows, wavs = load_fixture()
     statuses = [row["status"] for row in rows]
+    assert all((row["peak_ratio"] is None) == (row["offset_samples"] is None) for row in rows)
     assert any(row["kept"] for row in rows) and len(wavs) == sum(row["kept"] for row in rows)
     assert any(not row["kept"] and status == "ok" for row, status in zip(rows, statuses))
     for needle in ("beyond the clip end", "collides with row", "non-finite sample",

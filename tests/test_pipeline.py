@@ -199,6 +199,8 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
         statuses = [row["status"] for row in runs[1][0]]
         assert statuses[2].startswith("error: ") and statuses[4].startswith("error: output name ")
         assert [row["kept"] for row in runs[1][0]] == [True, True, False, True, False, False, True]
+        assert all((row["peak_ratio"] is None) == (row["offset_samples"] is None)
+                   for row in runs[1][0])
 
     @needs_fork
     def test_dead_worker_raises_and_leaves_no_child(self, tmp_path, monkeypatch):
@@ -678,7 +680,8 @@ class TestResultsIO:
     def test_row_schema_is_the_dataclass_fields(self):
         seg = SegmentRecord("s", "a", 0.5, 2.0, "c.wav", "f.wav")
         rec = PseudoLabelRecord(seg, offset_samples=-42, snr_db=7.5, kept=True,
-                                status="error: x", output_path="p.wav", processed_at="now")
+                                status="error: x", output_path="p.wav", processed_at="now",
+                                peak_ratio=3.5)
         row_fields = [f for f in dataclasses.fields(rec) if f.name != "segment"]
         assert list(record_to_dict(rec)) == \
                [f.name for f in dataclasses.fields(seg)] + [f.name for f in row_fields]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pseudolabel.audio_io import SegmentRecord
+from pseudolabel.audio_io import AudioClip, SegmentRecord, write_wav
 from pseudolabel import PseudoLabelRecord
-from pseudolabel.pipeline import filter_pairs
+from pseudolabel.pipeline import filter_pairs, read_pair
 from pseudolabel import estimate_snr
 
 
@@ -65,6 +65,17 @@ class TestEstimateSnr:
                 draws.append(estimate_snr(s3, s3 + noise))
             medians.append(float(np.median(draws)))
         assert medians[0] > medians[1] > medians[2]
+
+    # What the snr command printed, as the README's one library call.
+    def test_of_two_wavs_is_one_library_call(self, tmp_path):
+        rng = np.random.default_rng(1)
+        s = rng.standard_normal(8000)
+        n = rng.standard_normal(8000)
+        n *= np.sqrt(np.sum(s**2) / np.sum(n**2))
+        paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+        for path, x in zip(paths, (s, s + n)):
+            write_wav(path, AudioClip(x, 16000), "float32")
+        assert estimate_snr(*read_pair(*paths)[:2]) == pytest.approx(0.0, abs=0.01)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

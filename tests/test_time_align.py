@@ -40,7 +40,7 @@ class TestGccPhat:
         x = np.random.default_rng(1).standard_normal(8000)
         res = gcc_phat(x, x, max_lag=1000)
         assert res.offset_samples == 0
-        assert res.peak_value > 0.5
+        assert res.peak_ratio > 1e6  # a whitened autocorrelation is a delta; the rest is rounding
 
     def test_delayed_white_noise_matches_oracle(self):
         rng = np.random.default_rng(2)
