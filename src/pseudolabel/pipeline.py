@@ -8,7 +8,6 @@ failures are recorded in the output row instead of aborting the run.
 from __future__ import annotations
 
 import ctypes
-import datetime
 import json
 import math
 import os
@@ -62,7 +61,6 @@ class PseudoLabelRecord:
     kept: bool = False
     status: str = "ok"
     output_path: str | None = None
-    processed_at: str = ""
     # Last: a record built positionally, as (segment, offset, snr, kept), keeps its meaning.
     peak_ratio: float | None = None
 
@@ -174,8 +172,8 @@ def _output_name(seg: SegmentRecord) -> str:
 
 def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConfig,
                      ) -> PseudoLabelRecord:
-    """One segment's row, stamped when done; ``clash`` is the index of an earlier row with
-    the same output name, if any. A numpy float fault fails the row instead of warning."""
+    """One segment's row; ``clash`` is the index of an earlier row with the same output
+    name, if any. A numpy float fault fails the row instead of warning."""
     rec = PseudoLabelRecord(segment=seg)
     try:
         # Both ids become part of the output file name.
@@ -200,7 +198,6 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
     except Exception as exc:  # keep the batch alive; the row carries the reason
         rec.status = f"error: {exc}"
         rec.kept = False
-    rec.processed_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return rec
 
 

@@ -3,10 +3,10 @@
 The corpus is rebuilt on every run from `simulate_corpus` and a
 hand-written session manifest whose rows each hit one documented rule: a
 clamped end, a start past the end, a colliding output name, a NaN sample
-and differing sample rates. The expected rows (without `processed_at`)
-and the length and sum of squares of each kept WAV are committed under
-`tests/data/contract/`; no audio is. `tests/data/contract/regenerate.py`
-rewrites them, and a change that runs it means to change outputs.
+and differing sample rates. The expected rows and the length and sum of
+squares of each kept WAV are committed under `tests/data/contract/`; no
+audio is. `tests/data/contract/regenerate.py` rewrites them, and a change
+that runs it means to change outputs.
 
 Offsets, keep decisions, statuses and output paths must match exactly.
 `snr_db` may differ by 1e-9 dB, `peak_ratio` by 1e-9 relative and a kept
@@ -69,9 +69,9 @@ def run_outputs(root: Path, manifest: list, workers: int,
                 ) -> tuple[list[dict], list[dict], dict[str, bytes]]:
     """Run ``manifest``, built by :func:`build_corpus` under ``root / "corpus"``,
     with ``workers`` processes. Returns its rows and kept WAVs in the
-    fixture's form (rows without ``processed_at``, and the corpus and output
-    directories written as ``<corpus>`` and ``<out>`` in every string), and
-    each kept WAV's bytes by its output path in that form."""
+    fixture's form (the corpus and output directories written as ``<corpus>``
+    and ``<out>`` in every string), and each kept WAV's bytes by its output
+    path in that form."""
     corpus, out = root / "corpus", root / f"out_w{workers}"
     records = run_tls(manifest, PipelineConfig(output_dir=str(out), worker_count=workers))
 
@@ -83,7 +83,6 @@ def run_outputs(root: Path, manifest: list, workers: int,
     rows, wavs, wav_bytes = [], [], {}
     for rec in records:
         row = {key: portable(value) for key, value in record_to_dict(rec).items()}
-        del row["processed_at"]
         rows.append(row)
         if rec.output_path is not None:
             samples = read_wav(rec.output_path).samples

@@ -88,8 +88,8 @@ def _manifest_bytes() -> bytes:
 
 def _results_bytes(tmp_path) -> bytes:
     seg = SegmentRecord("mtg01", "Zoë", 1.25, 3.5, "audio/zoë.wav", "far.wav")
-    records = [PseudoLabelRecord(seg, -160, 3.25, True, "ok", "out/x.wav", "2026-01-01"),
-               PseudoLabelRecord(seg, None, math.inf, False, "error: boom", None, "t"),
+    records = [PseudoLabelRecord(seg, -160, 3.25, True, "ok", "out/x.wav"),
+               PseudoLabelRecord(seg, None, math.inf, False, "error: boom"),
                PseudoLabelRecord(seg, 5, -math.inf)]
     write_results(records, tmp_path / "base.jsonl")
     return (tmp_path / "base.jsonl").read_bytes()

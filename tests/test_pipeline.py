@@ -1,5 +1,4 @@
 import dataclasses
-import datetime
 import json
 import math
 import os
@@ -145,8 +144,7 @@ class TestRunTls:
         run_tls(segs[:1], PipelineConfig(worker_count=8, output_dir=out))
         run_tls([], PipelineConfig(worker_count=8, output_dir=out))
         assert len(forks) == 2  # one worker or one segment: no fork
-        strip = lambda rec: record_to_dict(rec) | {"processed_at": ""}
-        assert [strip(r) for r in pooled] == [strip(r) for r in serial]
+        assert pooled == serial
         assert [r.status for r in serial] == ["ok", "ok"]
 
     # Neither a serial nor a pooled run loads an executor's machinery; checked
@@ -192,8 +190,7 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
             out = tmp_path / f"out{count}"
             rows = run_tls(manifest, PipelineConfig(worker_count=count, output_dir=str(out)))
             wavs = {p.name: p.read_bytes() for p in out.iterdir()}
-            runs[count] = [record_to_dict(r) | {"processed_at": "",
-                                                "output_path": r.output_path and Path(r.output_path).name}
+            runs[count] = [record_to_dict(r) | {"output_path": r.output_path and Path(r.output_path).name}
                            for r in rows], wavs
         assert runs[workers] == runs[1]
         statuses = [row["status"] for row in runs[1][0]]
@@ -483,29 +480,14 @@ except (KeyboardInterrupt, RuntimeError) as exc:
         assert sorted(out_dir.iterdir()) == sorted(Path(r.output_path) for r in records[:2])
         # same directory, so output_path compares equal too
         ref = run_tls([a, b], PipelineConfig(output_dir=str(out_dir)))
-        strip = lambda rec: record_to_dict(rec) | {"processed_at": ""}
-        assert [strip(r) for r in records[:2]] == [strip(r) for r in ref]
-
-    @pytest.mark.parametrize("missing", [False, True], ids=["ok", "failed"])
-    def test_each_row_is_stamped_where_it_is_made(self, tmp_path, missing):
-        seg, _ = write_scenario(tmp_path, "t", seed=31)
-        if missing:
-            seg = dataclasses.replace(seg, farfield_path=str(tmp_path / "nope.wav"))
-        before = datetime.datetime.now(datetime.timezone.utc)
-        rec = pipeline._process_segment(seg, None, PipelineConfig(output_dir=str(tmp_path)))
-        after = datetime.datetime.now(datetime.timezone.utc)
-        assert rec.status.startswith("error:") == missing
-        stamp = datetime.datetime.fromisoformat(rec.processed_at)
-        assert stamp.utcoffset() == datetime.timedelta(0)
-        assert before <= stamp <= after
+        assert records[:2] == ref
 
     def test_idempotent_rerun(self, tmp_path):
         seg, _ = write_scenario(tmp_path, "f", seed=30)
         config = PipelineConfig(output_dir=str(tmp_path / "out"))
         first = run_tls([seg], config)
         second = run_tls([seg], config)
-        assert record_to_dict(first[0]) | {"processed_at": ""} == \
-               record_to_dict(second[0]) | {"processed_at": ""}
+        assert first == second
         wav1 = read_wav(first[0].output_path)
         np.testing.assert_array_equal(wav1.samples, read_wav(second[0].output_path).samples)
 
@@ -591,13 +573,10 @@ class TestResultsIO:
         seg = SegmentRecord("s", "a", 0.0, 1.0, "c.wav", "f.wav")
         records = [
             PseudoLabelRecord(seg, offset_samples=-3, snr_db=math.inf, kept=True,
-                              output_path="x.wav", processed_at="t0"),
-            PseudoLabelRecord(seg, offset_samples=2, snr_db=-math.inf, kept=False,
-                              processed_at="t0"),
-            PseudoLabelRecord(seg, snr_db=None, kept=False, status="error: boom",
-                              processed_at="t0"),
-            PseudoLabelRecord(seg, offset_samples=0, snr_db=-3.25, kept=True,
-                              processed_at="t0"),
+                              output_path="x.wav"),
+            PseudoLabelRecord(seg, offset_samples=2, snr_db=-math.inf, kept=False),
+            PseudoLabelRecord(seg, snr_db=None, kept=False, status="error: boom"),
+            PseudoLabelRecord(seg, offset_samples=0, snr_db=-3.25, kept=True),
         ]
         records += [PseudoLabelRecord(seg, **{name: value}) for name in self.FLOAT_FIELDS
                     for value in (math.inf, -math.inf)]
@@ -647,7 +626,6 @@ class TestResultsIO:
         ("snr_db", "high"), ("snr_db", False), ("snr_db", [7.5]),
         ("status", None), ("status", 0),
         ("output_path", 3), ("output_path", False),
-        ("processed_at", None), ("processed_at", {}),
         ("snr_db", math.nan), ("snr_db", math.inf), ("snr_db", -math.inf),  # no run writes these
     ])
     def test_wrong_json_type_names_field_and_line(self, tmp_path, field, value):
@@ -670,18 +648,24 @@ class TestResultsIO:
         path = tmp_path / "out" / "results.jsonl"
         write_results(records, path)
         assert read_results(path) == records
+        # earlier versions stamped each row with processed_at; such a file still reads
+        stamped = [json.loads(line) | {"processed_at": "2025-01-01T00:00:00+00:00"}
+                   for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(row) + "\n" for row in stamped))
+        assert read_results(path) == records
+        write_results(read_results(path), path)
+        assert "processed_at" not in path.read_text()
 
     def test_record_dict_round_trip(self):
         seg = SegmentRecord("s", "a", 0.5, 2.0, "c.wav", "f.wav")
         rec = PseudoLabelRecord(seg, offset_samples=-42, snr_db=7.5, kept=True,
-                                output_path="p.wav", processed_at="now")
+                                output_path="p.wav")
         assert record_from_dict(record_to_dict(rec)) == rec
 
     def test_row_schema_is_the_dataclass_fields(self):
         seg = SegmentRecord("s", "a", 0.5, 2.0, "c.wav", "f.wav")
         rec = PseudoLabelRecord(seg, offset_samples=-42, snr_db=7.5, kept=True,
-                                status="error: x", output_path="p.wav", processed_at="now",
-                                peak_ratio=3.5)
+                                status="error: x", output_path="p.wav", peak_ratio=3.5)
         row_fields = [f for f in dataclasses.fields(rec) if f.name != "segment"]
         assert list(record_to_dict(rec)) == \
                [f.name for f in dataclasses.fields(seg)] + [f.name for f in row_fields]
