@@ -117,6 +117,10 @@ def _close(key, got, want) -> bool:
     return got == want  # null, or an "inf"/"-inf" sentinel
 
 
+def _energy_close(got, want) -> bool:
+    return abs(got - want) <= ENERGY_RTOL * want
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_rows_and_kept_wavs_match_the_fixture(outputs, workers):
     rows, wavs, _ = outputs[workers]
@@ -131,7 +135,7 @@ def test_rows_and_kept_wavs_match_the_fixture(outputs, workers):
     assert [w["output_path"] for w in wavs] == [w["output_path"] for w in want_wavs]
     for got, want in zip(wavs, want_wavs):
         assert got["n_samples"] == want["n_samples"], got["output_path"]
-        assert abs(got["energy"] - want["energy"]) <= ENERGY_RTOL * want["energy"], \
+        assert _energy_close(got["energy"], want["energy"]), \
             (got["output_path"], got["energy"], want["energy"])
 
 
