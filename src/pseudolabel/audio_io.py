@@ -177,23 +177,22 @@ def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioCli
         return AudioClip(np.divide(frames, h.scale, dtype=np.float64, order="C"), h.rate)
 
 
-def _encode(samples: np.ndarray, encoding: str) -> tuple[np.ndarray, int, int]:
-    """Interleave and quantize; returns (payload, format_tag, bits), the payload
-    a C-contiguous array of the file's sample bytes."""
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
-    inter = samples.T.ravel()
-    if encoding == "float32":
-        return inter.astype("<f4"), 3, 32
-    if np.isnan(inter).any():  # an integer has no NaN; the cast would make one up
-        raise ValueError(f"cannot write a NaN sample as {encoding}")
-    bits = int(encoding[3:])
+# Frames encoded and written at a time, so a write's temporaries are a block's, not the clip's.
+_WRITE_FRAMES = 2**18
+
+
+def _encode(frames: np.ndarray, tag: int, bits: int) -> np.ndarray:
+    """Interleave ``frames`` ([channel, sample]) and quantize them to the format
+    ``(tag, bits)``; returns a C-contiguous array of their bytes in the file."""
+    inter = frames.T.ravel()
+    if tag == 3:
+        return inter.astype("<f4")
     full = 2.0 ** (bits - 1)
     q = inter * full  # one float64 temporary, rounded and clipped in place
     q = np.clip(np.round(q, out=q), -full, full - 1, out=q).astype("<i4")
     q <<= 32 - bits
     top_bytes = q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :]
-    return np.ascontiguousarray(top_bytes), 1, bits
+    return np.ascontiguousarray(top_bytes)
 
 
 def _wav_header(tag: int, n_ch: int, rate: int, bits: int, n_bytes: int) -> bytes:
@@ -218,16 +217,24 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     A PCM encoding clips each sample to full scale and rejects a NaN before
     anything is written; float32 writes NaN and inf as they are. A rate,
     channel count or length that the header cannot hold raises
-    ``ValueError``, also before anything is written.
+    ``ValueError``, also before anything is written. The samples are
+    encoded and written :data:`_WRITE_FRAMES` frames at a time.
     """
     if clip.n_samples == 0:
         raise ValueError("refusing to write an empty clip")
-    payload, tag, bits = _encode(clip.samples, encoding)
-    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, payload.nbytes)
-    with open(path, "wb") as fh:  # header and payload as they are, not joined into one copy
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
+    # An integer has no NaN, and the cast would make one up; min finds a NaN without a temporary.
+    if encoding != "float32" and np.isnan(clip.samples.min()):
+        raise ValueError(f"cannot write a NaN sample as {encoding}")
+    tag, bits = (3, 32) if encoding == "float32" else (1, int(encoding[3:]))
+    n_bytes = clip.samples.size * bits // 8
+    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, n_bytes)
+    with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
-        fh.write(b"\x00" * (payload.nbytes & 1))
+        for i in range(0, clip.n_samples, _WRITE_FRAMES):
+            fh.write(_encode(clip.samples[:, i : i + _WRITE_FRAMES], tag, bits))
+        fh.write(b"\x00" * (n_bytes & 1))
 
 
 def _read_jsonl(path, parse) -> list:

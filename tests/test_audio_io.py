@@ -12,6 +12,8 @@ from pseudolabel.audio_io import (
     ManifestError,
     SegmentRecord,
     WavFormatError,
+    _WRITE_FRAMES,
+    _encode,
     _frame_range,
     cut_segment,
     parse_segments,
@@ -103,10 +105,10 @@ class TestWavRoundTrip:
 
     @pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "pcm32"])
     def test_pcm_write_peak_is_one_and_a_half_inputs(self, tmp_path, encoding):
-        # One float64 temporary, rounded and clipped in place, then its int32
-        # cast: tracemalloc's peak read 1.50x the float64 input (2.00x when
-        # each quantizing step made a new array).
-        x = np.random.default_rng(4).uniform(-1.2, 1.2, 20 * 16000)
+        # A clip of one block: one float64 temporary, rounded and clipped in
+        # place, then its int32 cast: tracemalloc's peak read 1.50x the float64
+        # input (2.00x when each quantizing step made a new array).
+        x = np.random.default_rng(4).uniform(-1.2, 1.2, _WRITE_FRAMES)
         tracemalloc.start()
         try:
             write_wav(tmp_path / "q.wav", AudioClip(x, 16000), encoding)
@@ -114,6 +116,29 @@ class TestWavRoundTrip:
         finally:
             tracemalloc.stop()
         assert x.nbytes < peak < 1.6 * x.nbytes
+
+    def test_long_pcm16_write_peak_is_one_block(self, tmp_path):
+        x = np.random.default_rng(5).uniform(-1.2, 1.2, 60 * 16000)  # 3.7 blocks
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "long.wav", AudioClip(x, 16000), "pcm16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * _WRITE_FRAMES * x.itemsize < x.nbytes / 2
+
+    # Two channels of 2.5 blocks, with infinities and full-scale samples at
+    # the block edges: the file holds the bytes _encode makes of the whole clip.
+    @pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "pcm32", "float32"])
+    def test_block_writes_equal_the_whole_clip_encoded(self, tmp_path, encoding):
+        x = np.random.default_rng(6).uniform(-1.3, 1.3, (2, 5 * _WRITE_FRAMES // 2 + 1))
+        x[0, _WRITE_FRAMES - 1], x[1, _WRITE_FRAMES] = np.inf, -np.inf
+        x[:, 2 * _WRITE_FRAMES] = [1.0, -1.0]
+        path = tmp_path / "blocks.wav"
+        write_wav(path, AudioClip(x, 16000), encoding)
+        tag, bits, _ = _RAW_ENCODINGS[encoding]
+        payload = _encode(x, tag, bits).tobytes()
+        assert path.read_bytes()[44:] == payload + b"\x00" * (len(payload) & 1)
 
     def test_odd_payload_gets_a_pad_byte(self, tmp_path):
         # 7 PCM24 samples are a 21-byte payload; RIFF pads a chunk to an even size.
