@@ -34,7 +34,7 @@ def keep_committed(item: dict, line: str | None, rules: dict) -> dict:
         return item
     old = json.loads(line)
     return item | {key: old[key] for key, close in rules.items()
-                   if key in item and key in old and close(item[key], old[key])}
+                   if key in old and close(item[key], old[key])}
 
 
 def main() -> int:
