@@ -11,7 +11,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-ENCODINGS = ("pcm16", "pcm24", "pcm32", "float32")
+ENCODINGS = ("pcm16", "float32")
 
 
 class WavFormatError(ValueError):
@@ -181,29 +181,26 @@ def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioCli
 _WRITE_FRAMES = 2**18
 
 
-def _encode(frames: np.ndarray, tag: int, bits: int) -> np.ndarray:
-    """Interleave ``frames`` ([channel, sample]) and quantize them to the format
-    ``(tag, bits)``; returns a C-contiguous array of their bytes in the file."""
+def _encode(frames: np.ndarray, encoding: str) -> np.ndarray:
+    """Interleave ``frames`` ([channel, sample]) and quantize them to ``encoding``;
+    returns the samples as they lie in the file."""
     inter = frames.T.ravel()
-    if tag == 3:
+    if encoding == "float32":
         return inter.astype("<f4")
-    full = 2.0 ** (bits - 1)
-    q = inter * full  # one float64 temporary, rounded and clipped in place
-    q = np.clip(np.round(q, out=q), -full, full - 1, out=q).astype("<i4")
-    q <<= 32 - bits
-    top_bytes = q.view(np.uint8).reshape(-1, 4)[:, 4 - bits // 8 :]
-    return np.ascontiguousarray(top_bytes)
+    q = inter * 32768.0  # one float64 temporary, rounded and clipped in place
+    return np.clip(np.round(q, out=q), -32768, 32767, out=q).astype("<i2")
 
 
 def _wav_header(tag: int, n_ch: int, rate: int, bits: int, n_bytes: int) -> bytes:
-    """The RIFF, ``fmt `` and ``data`` chunk headers before ``n_bytes`` of samples.
+    """The RIFF, ``fmt `` and ``data`` chunk headers before ``n_bytes`` of samples;
+    ``n_bytes`` is even, so no pad byte follows them.
 
     Raises ``ValueError`` if a field does not fit its slot (the byte rate
     and the sizes are 32-bit, the channel count 16-bit).
     """
     block_align = n_ch * bits // 8
     try:
-        return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n_bytes + (n_bytes & 1), b"WAVE",
+        return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n_bytes, b"WAVE",
                            b"fmt ", 16, tag, n_ch, rate, rate * block_align, block_align, bits,
                            b"data", n_bytes)
     except struct.error:
@@ -214,8 +211,8 @@ def _wav_header(tag: int, n_ch: int, rate: int, bits: int, n_bytes: int) -> byte
 def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     """Write a clip as a RIFF/WAVE file in the given encoding.
 
-    A PCM encoding clips each sample to full scale and rejects a NaN before
-    anything is written; float32 writes NaN and inf as they are. A rate,
+    ``pcm16`` clips each sample to full scale and rejects a NaN before
+    anything is written; ``float32`` writes NaN and inf as they are. A rate,
     channel count or length that the header cannot hold raises
     ``ValueError``, also before anything is written. The samples are
     encoded and written :data:`_WRITE_FRAMES` frames at a time.
@@ -225,16 +222,15 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     if encoding not in ENCODINGS:
         raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
     # An integer has no NaN, and the cast would make one up; min finds a NaN without a temporary.
-    if encoding != "float32" and np.isnan(clip.samples.min()):
-        raise ValueError(f"cannot write a NaN sample as {encoding}")
-    tag, bits = (3, 32) if encoding == "float32" else (1, int(encoding[3:]))
+    if encoding == "pcm16" and np.isnan(clip.samples.min()):
+        raise ValueError("cannot write a NaN sample as pcm16")
+    tag, bits = (3, 32) if encoding == "float32" else (1, 16)
     n_bytes = clip.samples.size * bits // 8
     header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, n_bytes)
     with open(path, "wb") as fh:
         fh.write(header)
         for i in range(0, clip.n_samples, _WRITE_FRAMES):
-            fh.write(_encode(clip.samples[:, i : i + _WRITE_FRAMES], tag, bits))
-        fh.write(b"\x00" * (n_bytes & 1))
+            fh.write(_encode(clip.samples[:, i : i + _WRITE_FRAMES], encoding))
 
 
 def _read_jsonl(path, parse) -> list:

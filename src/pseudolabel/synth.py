@@ -27,6 +27,9 @@ TAIL_DB = -25.0
 # A quarter of a simulated corpus has no tail: the pure delay-and-gain case.
 ANECHOIC_FRACTION = 0.25
 
+# The far field's gain on the direct sound, drawn uniformly per simulated segment.
+GAIN_RANGE = (0.05, 0.5)
+
 
 @dataclass
 class SynthScenario:
@@ -142,7 +145,6 @@ def speech_like(duration_s: float, sample_rate: int, seed: int) -> np.ndarray:
 def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000,
                     duration_range: tuple[float, float] = (4.0, 8.0),
                     delay_range: tuple[int, int] = (0, 4000),
-                    gain_range: tuple[float, float] = (0.05, 0.5),
                     max_decay_ms: float = 50.0,
                     snr_range_db: tuple[float, float] = (0.0, 20.0)) -> tuple[Path, Path]:
     """Write a ready-to-run corpus: WAVs, segment manifest, and truth file.
@@ -158,7 +160,6 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
     for name, (low, high), floor_ok, rule in (
             ("duration_range", duration_range, duration_range[0] > 0, "0 < low <= high"),
             ("delay_range", delay_range, delay_range[0] >= 0, "0 <= low <= high"),
-            ("gain_range", gain_range, gain_range[0] > 0, "0 < low <= high"),
             ("snr_range_db", snr_range_db, snr_range_db[0] > -math.inf, "low <= high")):
         if not (floor_ok and low <= high < math.inf):
             raise ValueError(f"{name} must be finite with {rule}, got {(low, high)}")
@@ -176,7 +177,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
             sid = f"s{i:03d}"
             duration = float(rng.uniform(*duration_range))
             delay = int(rng.integers(delay_range[0], delay_range[1] + 1))
-            gain = float(rng.uniform(*gain_range))
+            gain = float(rng.uniform(*GAIN_RANGE))
             snr_db = float(rng.uniform(*snr_range_db))
             anechoic = max_decay_ms <= 0 or bool(rng.random() < ANECHOIC_FRACTION)
             decay_ms = 0.0 if anechoic else float(

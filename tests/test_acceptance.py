@@ -221,7 +221,7 @@ def test_criterion_7_end_to_end_oracle(tmp_path):
         manifest_path, truth_path = simulate_corpus(
             tmp_path / "corpus", count=50, seed=1007,
             duration_range=(4.0, 8.0), delay_range=(0, 4000),
-            gain_range=(0.05, 0.5), max_decay_ms=50.0, snr_range_db=(0.0, 20.0),
+            max_decay_ms=50.0, snr_range_db=(0.0, 20.0),
         )
         manifest = parse_segments(manifest_path)
         truth = [json.loads(line) for line in truth_path.read_text().splitlines()]

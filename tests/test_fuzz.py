@@ -33,8 +33,15 @@ def _wav_bases(rng, tmp_path) -> list[bytes]:
     """Valid WAVs in every encoding and layout the reader knows, 300 frames each."""
     bases = []
     for encoding, n_ch in (("pcm16", 1), ("pcm24", 2), ("pcm32", 1), ("float32", 2)):
+        x = rng.uniform(-0.9, 0.9, (n_ch, 300))
+        if encoding in ("pcm24", "pcm32"):  # write_wav writes neither
+            bits = int(encoding[3:])
+            q = np.round(x.T.ravel() * 2.0 ** (bits - 1)).astype("<i4")
+            payload = q.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
+            bases.append(raw_wav_bytes(payload, 1, n_ch, 16000, bits))
+            continue
         path = tmp_path / "base.wav"
-        write_wav(path, AudioClip(rng.uniform(-0.9, 0.9, (n_ch, 300)), 16000), encoding)
+        write_wav(path, AudioClip(x, 16000), encoding)
         bases.append(path.read_bytes())
     samples = rng.uniform(-0.9, 0.9, 300)
     bases.append(raw_wav_bytes(samples.astype("<f8").tobytes(), 3, 1, 16000, 64))

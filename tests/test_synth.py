@@ -237,8 +237,6 @@ class TestSimulateCorpus:
         {"duration_range": (0.0, 1.0)},
         {"delay_range": (-1, 5)},
         {"delay_range": (5, 1)},
-        {"gain_range": (0.0, 0.5)},
-        {"gain_range": (0.1, math.nan)},
         {"snr_range_db": (math.nan, 20.0)},
         {"snr_range_db": (0.0, math.inf)},
         {"snr_range_db": (-math.inf, 0.0)},
