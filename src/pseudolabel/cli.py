@@ -12,7 +12,6 @@ two files that cannot be compared), or a ``run`` whose every segment failed;
 from __future__ import annotations
 
 import argparse
-import contextlib
 import inspect
 import re
 import sys
@@ -61,16 +60,6 @@ _CONFIG_TYPES = {"manifest": str} | {key: type(_field_default(key)) for key in _
 
 class _BadInput(Exception):
     """A fault in a command's input files: unreadable, or impossible to compare (exit 1)."""
-
-
-@contextlib.contextmanager
-def _input_faults():
-    """Report a ``ValueError``, ``OSError`` or numpy float error raised inside as bad input."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except (ValueError, OSError, FloatingPointError) as exc:
-        raise _BadInput(exc) from exc
 
 
 def parse_config_file(path) -> dict:
@@ -198,10 +187,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_iam(args) -> int:
     _check_clip_max(args.clip_max)  # flag faults, so checked before either read
     cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
-    with _input_faults():
-        clean, mixture, _ = read_pair(args.clean, args.mixture)
-        mask = iam_target(np.abs(stft(clean, cfg).data), np.abs(stft(mixture, cfg).data),
-                          clip_max=args.clip_max)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            clean, mixture, _ = read_pair(args.clean, args.mixture)
+            mask = iam_target(np.abs(stft(clean, cfg).data), np.abs(stft(mixture, cfg).data),
+                              clip_max=args.clip_max)
+    except (ValueError, OSError, FloatingPointError) as exc:  # a fault in an input file
+        raise _BadInput(exc) from exc
     with open(args.out, "wb") as fh:  # a file object, so np.save adds no ".npy"
         np.save(fh, mask)
     print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
