@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from pseudolabel import audio_io, pipeline
 from pseudolabel.audio_io import AudioClip, ManifestError, SegmentRecord, read_wav, write_wav
+from pseudolabel.cli import main
 from pseudolabel.dsp import StftConfig
 from pseudolabel.level_align import MflfConfig, level_align
 from pseudolabel.pipeline import (
@@ -210,6 +212,40 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
         segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
         with pytest.raises(RuntimeError, match=r"\(exit status 3\) before returning row 2$"):
             run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # Every second fork fails, as at a process limit: the first worker is killed
+    # and reaped, every pipe is closed, and run exits 1. Starts 2 processes in all.
+    @needs_fork
+    def test_fork_failure_leaves_no_child_and_no_pipe(self, tmp_path, monkeypatch, capsys):
+        real_fork, forks = os.fork, []
+
+        def every_second_fork_fails():
+            forks.append(len(forks))
+            if len(forks) % 2 == 0:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", every_second_fork_fails)
+        monkeypatch.setattr(pipeline, "_process_segment",
+                            lambda seg, clash, config: PseudoLabelRecord(seg))
+        segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
+        fd_dir = Path("/proc/self/fd")
+        open_fds = len(list(fd_dir.iterdir())) if fd_dir.is_dir() else None
+        with pytest.raises(BlockingIOError) as exc:
+            run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
+        assert exc.value.errno == errno.EAGAIN
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if open_fds is not None:
+            assert len(list(fd_dir.iterdir())) == open_fds
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(seg.to_dict()) + "\n" for seg in segs))
+        argv = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "o"), "--workers", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"run: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+        assert len(forks) == 4
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
