@@ -283,8 +283,8 @@ def _fork_map(fn: Callable, args: list[tuple], workers: int) -> Iterator:
     Each child takes ``_CHUNK_ROWS`` contiguous items at a time (fewer, so that every
     child gets one, when ``args`` is short) and is handed the next chunk when it sends
     one back. A child that dies before sending its chunk raises ``RuntimeError`` naming
-    how it ended and the chunk's first item. Every child is reaped before this generator
-    ends, on any path."""
+    how it ended and every item of the chunk (``rows 4-7``, or ``row 4`` for one). Every
+    child is reaped before this generator ends, on any path."""
     # Imported here, so that import pseudolabel and a serial run load neither.
     import select
     import signal
@@ -313,8 +313,10 @@ def _fork_map(fn: Callable, args: list[tuple], workers: int) -> Iterator:
                 try:
                     done[worker.start] = pickle.load(worker.results)
                 except (EOFError, pickle.UnpicklingError):  # its pipe ended early
+                    last = min(worker.start + chunk, len(args)) - 1
+                    rows = f"rows {worker.start}-{last}" if last > worker.start else f"row {last}"
                     raise RuntimeError(f"a pool worker died ({worker.reap()}) before returning "
-                                       f"row {worker.start}") from None
+                                       f"{rows}") from None
                 worker.send(next(starts, None))
                 if worker.start is None:
                     poller.unregister(fd)

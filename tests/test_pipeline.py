@@ -210,7 +210,26 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
 
         monkeypatch.setattr(pipeline, "_process_segment", dies_on_row_2)
         segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
-        with pytest.raises(RuntimeError, match=r"\(exit status 3\) before returning row 2$"):
+        with pytest.raises(RuntimeError, match=r"\(exit status 3\) before returning rows 2-3$"):
+            run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # 8 rows at 2 workers are chunks of 4: a worker that dies on row 5 held rows
+    # 4-7, and row 4 may have finished before it died. 2 rows are chunks of 1.
+    @needs_fork
+    @pytest.mark.parametrize("n_rows, dies_on, named", [(8, 5, "rows 4-7"), (2, 1, "row 1")])
+    def test_dead_worker_error_names_every_row_of_its_chunk(self, tmp_path, monkeypatch,
+                                                            n_rows, dies_on, named):
+        def dies(seg, clash, config):
+            if seg.start_s == dies_on:
+                os._exit(3)
+            return PseudoLabelRecord(seg)
+
+        monkeypatch.setattr(pipeline, "_process_segment", dies)
+        segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav")
+                for i in range(n_rows)]
+        with pytest.raises(RuntimeError, match=rf"\(exit status 3\) before returning {named}$"):
             run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
