@@ -191,9 +191,15 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
             rec.offset_samples, rec.peak_ratio = align.offset_samples, align.peak_ratio
             rec.snr_db = estimate_snr(pseudo, y)
             filter_pairs([rec], config.snr_threshold_db)
-            if rec.kept:
+            if rec.kept:  # written whole or not at all under its final name
                 out_path = Path(config.output_dir) / _output_name(seg)
-                write_wav(out_path, AudioClip(pseudo, rate), "float32")
+                part_path = out_path.with_name(out_path.name + ".partial")
+                try:
+                    write_wav(part_path, AudioClip(pseudo, rate), "float32")
+                    os.replace(part_path, out_path)
+                except BaseException:
+                    part_path.unlink(missing_ok=True)
+                    raise
                 rec.output_path = str(out_path)
     except Exception as exc:  # keep the batch alive; the row carries the reason
         rec.status = f"error: {exc}"

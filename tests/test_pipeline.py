@@ -74,6 +74,28 @@ class TestRunTls:
         pseudo = read_wav(rec.output_path)
         assert pseudo.sample_rate == 16000
 
+    # A kept label is written to <name>.partial, then renamed: a write that fails
+    # leaves neither name, and the row fails with the write's error.
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        written = []
+
+        def short_write(path, clip, encoding):
+            written.append(Path(path).name)
+            Path(path).write_bytes(b"RIFF")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        seg, _ = write_scenario(tmp_path, "w", seed=7)
+        out = tmp_path / "out"
+        monkeypatch.setattr(pipeline, "write_wav", short_write)
+        (rec,) = run_tls([seg], PipelineConfig(output_dir=str(out)))
+        assert written == [pipeline._output_name(seg) + ".partial"]
+        assert rec.status == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert not rec.kept and rec.output_path is None
+        assert list(out.iterdir()) == []
+        monkeypatch.undo()
+        (rec,) = run_tls([seg], PipelineConfig(output_dir=str(out)))
+        assert rec.kept and [p.name for p in out.iterdir()] == [pipeline._output_name(seg)]
+
     def test_low_snr_segment_discarded(self, tmp_path):
         seg, _ = write_scenario(tmp_path, "b", delay=80, gain=0.4, snr_db=-20.0, seed=3)
         records = run_tls([seg], PipelineConfig(output_dir=str(tmp_path / "out")))
