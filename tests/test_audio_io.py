@@ -101,9 +101,8 @@ class TestWavRoundTrip:
 
     def test_pcm16_write_peak_is_one_and_a_quarter_inputs(self, tmp_path):
         # A clip of one block: one float64 temporary, rounded and clipped in
-        # place, then its int16 cast: tracemalloc's peak reads 1.25x the float64
-        # input (1.50x through an int32 cast, 2.00x when each quantizing step
-        # made a new array).
+        # place, then its int16 cast, a quarter of its size: tracemalloc's peak
+        # reads 1.25x the float64 input.
         x = np.random.default_rng(4).uniform(-1.2, 1.2, _WRITE_FRAMES)
         tracemalloc.start()
         try:
