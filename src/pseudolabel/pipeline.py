@@ -14,10 +14,11 @@ import os
 import pickle
 import sys
 from collections.abc import Callable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import BinaryIO, get_args, get_type_hints
 
 import numpy as np
 
@@ -218,26 +219,46 @@ _CHUNK_ROWS = 4
 _CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
 
 
-class _Worker:
-    """A forked child that sends back ``[fn(*a) for a in args[start:start + chunk]]``,
-    pickled, for each ``start`` it is sent, and exits when its task pipe closes.
+def _fork_map(fn: Callable, args: list[tuple], workers: int) -> Iterator:
+    """Yield ``fn(*a)`` for each ``a`` in ``args``, in order, from ``workers`` forked children,
+    ``1 <= workers <= len(args)``.
 
-    ``inherited`` are the parent's pipe ends to earlier workers; the child closes
-    them, so that only the parent holds each pipe's other end."""
+    Each child takes ``_CHUNK_ROWS`` contiguous items at a time (fewer, so that every
+    child gets one, when ``args`` is short) and is handed the next chunk when it sends
+    one back. A child that dies before sending its chunk raises ``RuntimeError`` naming
+    how it ended and every item of the chunk (``rows 4-7``, or ``row 4`` for one). Every
+    child is killed and reaped before this generator ends, on any path."""
+    # Imported here, so that import pseudolabel and a serial run load neither.
+    import select
+    import signal
 
-    def __init__(self, fn: Callable, args: list[tuple], chunk: int, inherited: list[int]):
-        task_r, self.tasks = os.pipe()
+    chunk = min(_CHUNK_ROWS, len(args) // workers)
+    starts = iter(range(0, len(args), chunk))
+    # Per child, keyed by the parent's end of its result pipe: its pid until it is reaped,
+    # the parent's end of its task pipe, its result pipe, and the start of its chunk.
+    pids: dict[int, int] = {}
+    tasks: dict[int, int] = {}
+    results: dict[int, BinaryIO] = {}
+    held: dict[int, int | None] = {}
+    poller = select.poll()
+
+    def fork_child() -> int:
+        """Fork a child that sends back ``[fn(*a) for a in args[start:start + chunk]]``,
+        pickled, for each ``start`` on its task pipe until that pipe closes; return its key.
+        The child closes the parent's ends of the earlier children's pipes, so that only the
+        parent holds each pipe's other end."""
+        task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:  # no process to be had: close the pipes before raising
-            for fd in (task_r, self.tasks, result_r, result_w):
+            for fd in (task_r, task_w, result_r, result_w):
                 os.close(fd)
             raise
-        if self.pid == 0:
+        if pid == 0:
             status = 1
             try:
-                for fd in (self.tasks, result_r, *inherited):
+                for fd in (task_w, result_r, *tasks, *tasks.values()):
                     os.close(fd)
                 with open(result_w, "wb") as out:
                     while task := os.read(task_r, 8):
@@ -253,85 +274,49 @@ class _Worker:
                 os._exit(status)  # never return into the parent's code
         os.close(task_r)
         os.close(result_w)
-        self.results = open(result_r, "rb")
-        self.start: int | None = None
+        pids[result_r], tasks[result_r], results[result_r] = pid, task_w, open(result_r, "rb")
+        poller.register(result_r, select.POLLIN)
+        return result_r
 
-    def send(self, start: int | None) -> None:
-        """Hand the worker the chunk at ``start``; ``None`` tells it to exit."""
-        self.start = start
+    def hand_out(key: int) -> None:
+        """Send the child the next chunk; with none left, it waits until its task pipe closes."""
+        start = held[key] = next(starts, None)
         if start is None:
-            os.close(self.tasks)
-            self.tasks = None
+            poller.unregister(key)
             return
-        try:
-            os.write(self.tasks, start.to_bytes(8, "little"))
-        except BrokenPipeError:  # it died; its result pipe's end reports it
-            pass
+        with suppress(BrokenPipeError):  # it died; its result pipe's end reports it
+            os.write(tasks[key], start.to_bytes(8, "little"))
 
-    def reap(self) -> str:
-        """Wait for the child to end; how it ended."""
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        return f"exit status {code}" if code >= 0 else f"signal {-code}"
-
-    def close(self) -> None:
-        """Close the parent's pipe ends."""
-        if self.tasks is not None:
-            os.close(self.tasks)
-            self.tasks = None
-        self.results.close()
-
-
-def _fork_map(fn: Callable, args: list[tuple], workers: int) -> Iterator:
-    """Yield ``fn(*a)`` for each ``a`` in ``args``, in order, from ``workers`` forked children,
-    ``1 <= workers <= len(args)``.
-
-    Each child takes ``_CHUNK_ROWS`` contiguous items at a time (fewer, so that every
-    child gets one, when ``args`` is short) and is handed the next chunk when it sends
-    one back. A child that dies before sending its chunk raises ``RuntimeError`` naming
-    how it ended and every item of the chunk (``rows 4-7``, or ``row 4`` for one). Every
-    child is reaped before this generator ends, on any path."""
-    # Imported here, so that import pseudolabel and a serial run load neither.
-    import select
-    import signal
-
-    chunk = min(_CHUNK_ROWS, len(args) // workers)
-    starts = iter(range(0, len(args), chunk))
-    pool: dict[int, _Worker] = {}  # result pipe fd -> worker
-    poller = select.poll()
     try:
         for _ in range(workers):
-            inherited = [fd for w in pool.values() for fd in (w.tasks, w.results.fileno())]
-            worker = _Worker(fn, args, chunk, inherited)
-            pool[worker.results.fileno()] = worker
-            poller.register(worker.results, select.POLLIN)
-            worker.send(next(starts))
+            hand_out(fork_child())
         done: dict[int, list] = {}  # chunk start -> its results, until their turn
         row = 0
         while row < len(args):
-            if row in done:
-                results = done.pop(row)
-                row += len(results)
-                yield from results
-                continue
-            for fd, _ in poller.poll():
-                worker = pool[fd]
+            for key, _ in poller.poll():
+                start = held[key]
                 try:
-                    done[worker.start] = pickle.load(worker.results)
+                    done[start] = pickle.load(results[key])
                 except (EOFError, pickle.UnpicklingError):  # its pipe ended early
-                    last = min(worker.start + chunk, len(args)) - 1
-                    rows = f"rows {worker.start}-{last}" if last > worker.start else f"row {last}"
-                    raise RuntimeError(f"a pool worker died ({worker.reap()}) before returning "
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[key], 0)[1])
+                    del pids[key]  # reaped, so never signalled
+                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                    last = min(start + chunk, len(args)) - 1
+                    rows = f"rows {start}-{last}" if last > start else f"row {last}"
+                    raise RuntimeError(f"a pool worker died ({how}) before returning "
                                        f"{rows}") from None
-                worker.send(next(starts, None))
-                if worker.start is None:
-                    poller.unregister(fd)
+                hand_out(key)
+            while row in done:
+                ready = done.pop(row)
+                row += len(ready)
+                yield from ready
     finally:
-        for worker in pool.values():
-            worker.close()
-            if worker.pid is not None:
-                os.kill(worker.pid, signal.SIGKILL)  # what it still computes, nobody reads
-                worker.reap()
+        for key, task_w in tasks.items():
+            os.close(task_w)
+            results[key].close()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)  # what it still computes, nobody reads
+            os.waitpid(pid, 0)
 
 
 def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[PseudoLabelRecord]:

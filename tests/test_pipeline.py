@@ -171,6 +171,24 @@ class TestRunTls:
         assert pooled == serial
         assert [r.status for r in serial] == ["ok", "ok"]
 
+    # 16 rows at 2 workers are chunks of 4. The child holding rows 0-3 sleeps 0.2 s
+    # on them, so the other child is free first each time and takes every later
+    # chunk; the rows still come back in manifest order. Starts 2 processes.
+    @needs_fork
+    def test_a_free_worker_takes_the_next_chunk(self, tmp_path, monkeypatch):
+        def stamped(seg, clash, config):
+            if seg.start_s < 4:
+                time.sleep(0.05)
+            return PseudoLabelRecord(seg, offset_samples=os.getpid())
+
+        monkeypatch.setattr(pipeline, "_process_segment", stamped)
+        segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(16)]
+        rows = run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
+        assert [r.segment for r in rows] == segs
+        slow, fast = rows[0].offset_samples, rows[4].offset_samples
+        assert len({slow, fast, os.getpid()}) == 3
+        assert [r.offset_samples for r in rows] == [slow] * 4 + [fast] * 12
+
     # Neither a serial nor a pooled run loads an executor's machinery; checked
     # in a fresh interpreter, as this one may have loaded it for another test.
     @staticmethod
