@@ -24,7 +24,7 @@ from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig, stft
 from .level_align import MflfConfig
 from .losses import _check_clip_max, iam_target
-from .pipeline import PipelineConfig, read_pair, run_tls, write_results
+from .pipeline import PipelineConfig, _write_whole, read_pair, run_tls, write_results
 from .synth import simulate_corpus
 
 # Public ``run`` key -> the config field it sets. The dataclasses own every
@@ -194,7 +194,8 @@ def _cmd_iam(args) -> int:
                               clip_max=args.clip_max)
     except (ValueError, OSError, FloatingPointError) as exc:  # a fault in an input file
         raise _BadInput(exc) from exc
-    with open(args.out, "wb") as fh:  # a file object, so np.save adds no ".npy"
+    # Through a file object, so np.save adds no ".npy".
+    with _write_whole(args.out) as part, open(part, "wb") as fh:
         np.save(fh, mask)
     print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
     return 0

@@ -14,7 +14,7 @@ import os
 import pickle
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -166,6 +166,20 @@ def _retain_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+@contextmanager
+def _write_whole(path) -> Iterator[Path]:
+    """Yield ``<path>.partial`` to write, then rename it to ``path``: a file appears under
+    its name whole or not at all. On any exception the partial file is unlinked."""
+    path = Path(path)
+    part = path.with_name(path.name + ".partial")
+    try:
+        yield part
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _output_name(seg: SegmentRecord) -> str:
     # No WAV lasts 2**32 s (a 32-bit data size at >= 1 Hz), so every larger end cuts the same.
     return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{min(seg.end_s, 2**32):.3f}.wav"
@@ -192,15 +206,10 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
             rec.offset_samples, rec.peak_ratio = align.offset_samples, align.peak_ratio
             rec.snr_db = estimate_snr(pseudo, y)
             filter_pairs([rec], config.snr_threshold_db)
-            if rec.kept:  # written whole or not at all under its final name
+            if rec.kept:
                 out_path = Path(config.output_dir) / _output_name(seg)
-                part_path = out_path.with_name(out_path.name + ".partial")
-                try:
-                    write_wav(part_path, AudioClip(pseudo, rate), "float32")
-                    os.replace(part_path, out_path)
-                except BaseException:
-                    part_path.unlink(missing_ok=True)
-                    raise
+                with _write_whole(out_path) as part:
+                    write_wav(part, AudioClip(pseudo, rate), "float32")
                 rec.output_path = str(out_path)
     except Exception as exc:  # keep the batch alive; the row carries the reason
         rec.status = f"error: {exc}"
@@ -372,9 +381,10 @@ def record_from_dict(obj: dict) -> PseudoLabelRecord:
 
 
 def write_results(records: list[PseudoLabelRecord], path) -> None:
+    """One JSON line per record; ``path`` holds the whole file, or what it held before."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _write_whole(path) as part, open(part, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(record_to_dict(rec)) + "\n")
 

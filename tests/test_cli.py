@@ -154,6 +154,22 @@ class TestIamCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.wav", "mask"]
         np.testing.assert_array_equal(np.load(out), np.ones((33, 257)))
 
+    # An interrupted save leaves the earlier mask whole, and no partial file.
+    def test_interrupted_save_keeps_the_earlier_mask(self, tmp_path, monkeypatch):
+        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
+        out = tmp_path / "mask.npy"
+        out.write_bytes(b"earlier")
+
+        def torn_save(fh, array):
+            fh.write(b"torn")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "save", torn_save)
+        with pytest.raises(KeyboardInterrupt):
+            main(["iam", c, c, "-o", str(out)])
+        assert out.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.wav", "mask.npy"]
+
     # A kept segment against the longer session file it was cut from is two
     # grid shapes; no crop picks a part of the longer one.
     def test_two_lengths_are_bad_input(self, tmp_path, capsys):

@@ -690,6 +690,27 @@ class TestResultsIO:
         assert [r.kept for r in back[:4]] == [True, False, False, True]
         assert back[2].status == "error: boom"
 
+    # Interrupted at its third row of five, a rewrite leaves the earlier file whole
+    # (read_results would read a torn file's first rows without complaint).
+    def test_interrupted_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        seg = SegmentRecord("s", "a", 0.0, 1.0, "c.wav", "f.wav")
+        earlier = [PseudoLabelRecord(seg, offset_samples=i) for i in range(5)]
+        path = tmp_path / "results.jsonl"
+        write_results(earlier, path)
+        to_dict, calls = pipeline.record_to_dict, []
+
+        def interrupted_at_row_3(rec):
+            calls.append(rec)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return to_dict(rec)
+
+        monkeypatch.setattr(pipeline, "record_to_dict", interrupted_at_row_3)
+        with pytest.raises(KeyboardInterrupt):
+            write_results([PseudoLabelRecord(seg, offset_samples=-i) for i in range(5)], path)
+        assert read_results(path) == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
     def test_every_float_field_round_trips_the_sentinels_and_an_integer(self):
         assert "snr_db" in self.FLOAT_FIELDS
         seg = SegmentRecord("s", "a", 0.0, 1.0, "c.wav", "f.wav")
