@@ -91,7 +91,7 @@ def gcc_phat(s1, y, max_lag: int) -> AlignmentResult:
     idx = int(np.argmax(window))
     offset = idx - max_lag
     peak = float(window[idx])
-    second = float(np.delete(window, idx).max(initial=0.0))
+    second = float(max(window[:idx].max(initial=0.0), window[idx + 1 :].max(initial=0.0)))
     ratio = peak / second if second > 0.0 else math.inf
     return AlignmentResult(offset_samples=offset, peak_ratio=ratio)
 
