@@ -11,7 +11,6 @@ from .audio_io import (
     ManifestError,
     SegmentRecord,
     WavFormatError,
-    cut_segment,
     parse_segments,
     read_wav,
     write_wav,
@@ -63,7 +62,6 @@ __all__ = [
     "WavFormatError",
     "apply_mflf",
     "apply_shift",
-    "cut_segment",
     "estimate_snr",
     "fcp_weights",
     "filter_pairs",

@@ -1,4 +1,4 @@
-"""WAV file I/O, diarization manifests, and segment cutting."""
+"""WAV file I/O and diarization manifests; a segment is cut by a ranged read."""
 
 from __future__ import annotations
 
@@ -146,8 +146,10 @@ def _check_interval(start_s: float, end_s: float | None) -> None:
 
 
 def _frame_range(n_frames: int, rate: int, start_s: float, end_s: float | None) -> tuple[int, int]:
-    """The rule of :func:`cut_segment` on a clip of ``n_frames``; ``end_s=None``
-    means the clip end, and with ``start_s=0`` the whole (maybe empty) clip."""
+    """Frames ``[round(start_s*rate), round(end_s*rate))`` of a clip of ``n_frames``, the
+    end clamped to the clip end. A start at or past it raises ``... is beyond the clip end
+    ...``, and an interval that fails the manifest's check raises that check's ``ValueError``.
+    ``end_s=None`` means the clip end, and with ``start_s=0`` the whole (maybe empty) clip."""
     if end_s is None and start_s == 0:
         return 0, n_frames
     _check_interval(start_s, end_s)
@@ -160,8 +162,10 @@ def _frame_range(n_frames: int, rate: int, start_s: float, end_s: float | None) 
 def read_wav(path, start_s: float = 0.0, end_s: float | None = None) -> AudioClip:
     """Read a PCM16/PCM24/PCM32/float32/float64 WAV file into a float clip.
 
-    Only the frames of [start_s, end_s) are read, under the rule of
-    :func:`cut_segment`; by default the whole file. Integer samples are
+    Only frames ``[round(start_s*rate), round(end_s*rate))`` are read, by
+    default the whole file. The end is clamped to the file's end. A start at
+    or past it raises ``ValueError`` (``... is beyond the clip end ...``),
+    and so does the manifest's interval check. Integer samples are
     normalized by the type's full-scale magnitude (32768, 2**23, 2**31),
     so a full-scale PCM16 file reads back as +-32767/32768.
     """
@@ -267,14 +271,3 @@ def parse_segments(path) -> list[SegmentRecord]:
     Raises :class:`ManifestError` naming the first bad line.
     """
     return _read_jsonl(path, SegmentRecord.from_dict)
-
-
-def cut_segment(clip: AudioClip, start_s: float, end_s: float) -> AudioClip:
-    """Sample-exact slice [round(start*rate), round(end*rate)).
-
-    An end past the clip is clamped to it, so a clamped cut is shorter than
-    ``round(end*rate) - round(start*rate)``; a start at or past the clip end
-    is an error.
-    """
-    i0, i1 = _frame_range(clip.n_samples, clip.sample_rate, start_s, end_s)
-    return AudioClip(clip.samples[:, i0:i1].copy(), clip.sample_rate)

@@ -23,7 +23,8 @@ from typing import BinaryIO, get_args, get_type_hints
 import numpy as np
 
 from .audio_io import AudioClip, SegmentRecord, _read_jsonl, read_wav, write_wav
-from .audio_io import cut_segment  # noqa: F401 - not called; perfbench/pb_trace.py wraps the name
+# Never called: perfbench/pb_trace.py wraps the name until ROADMAP I drops that stage.
+from .audio_io import _frame_range as cut_segment  # noqa: F401
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
 from .time_align import apply_shift, gcc_phat

@@ -15,7 +15,6 @@ from pseudolabel.audio_io import (
     _WRITE_FRAMES,
     _encode,
     _frame_range,
-    cut_segment,
     parse_segments,
     read_wav,
     write_wav,
@@ -295,48 +294,6 @@ class TestParseSegments:
         assert len(parse_segments(path)) == 1
 
 
-class TestCutSegment:
-    def make_clip(self, seconds=10.0, rate=16000):
-        rng = np.random.default_rng(7)
-        return AudioClip(rng.standard_normal(int(seconds * rate)), rate)
-
-    def test_full_cut_is_identity(self):
-        clip = self.make_clip()
-        out = cut_segment(clip, 0.0, 10.0)
-        np.testing.assert_array_equal(out.samples, clip.samples)
-
-    def test_middle_second(self):
-        clip = self.make_clip()
-        out = cut_segment(clip, 1.0, 2.0)
-        assert out.n_samples == 16000
-        np.testing.assert_array_equal(out.samples[0], clip.samples[0, 16000:32000])
-
-    def test_overshoot_clamps_to_the_clip_end(self):
-        clip = self.make_clip()
-        out = cut_segment(clip, 9.5, 11.0)
-        assert out.n_samples == 8000 < round(11.0 * 16000) - round(9.5 * 16000)
-        np.testing.assert_array_equal(out.samples, clip.samples[:, 152000:])
-
-    def test_start_beyond_end_raises(self):
-        clip = self.make_clip()
-        with pytest.raises(ValueError, match="beyond"):
-            cut_segment(clip, 10.5, 11.0)
-
-    def test_bad_interval(self):
-        clip = self.make_clip()
-        with pytest.raises(ValueError):
-            cut_segment(clip, 2.0, 2.0)
-
-    def test_length_rule_random(self):
-        clip = self.make_clip()
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a = float(rng.uniform(0, 9))
-            b = float(rng.uniform(a + 0.01, 10.0))
-            out = cut_segment(clip, a, b)
-            assert out.n_samples == round(b * 16000) - round(a * 16000)
-
-
 class TestSegmentRecord:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -454,6 +411,33 @@ class TestRangedRead:
             assert ranged == _outcome(lambda: whole)
         else:
             assert ranged == (("error", ValueError, message), [])
+
+    # The frame rule in figures, on a 10 s float32 file at 16 kHz.
+    @pytest.fixture
+    def ten_seconds(self, tmp_path):
+        path = tmp_path / "ten.wav"
+        write_wav(path, AudioClip(np.random.default_rng(7).standard_normal(160000), 16000))
+        return path, read_wav(path)
+
+    @pytest.mark.parametrize("start, end, i0, i1", [
+        (0.0, 10.0, 0, 160000), (1.0, 2.0, 16000, 32000), (9.5, 11.0, 152000, 160000),
+    ], ids=["whole_file", "middle_second", "end_clamped"])
+    def test_frames_read(self, ten_seconds, start, end, i0, i1):
+        path, whole = ten_seconds
+        np.testing.assert_array_equal(read_wav(path, start, end).samples, whole.samples[:, i0:i1])
+
+    # A start past the end raises in huge_start above and in the empty data chunk below.
+    def test_empty_interval_raises_the_manifest_error(self, ten_seconds):
+        with pytest.raises(ValueError) as caught:
+            read_wav(ten_seconds[0], 2.0, 2.0)
+        assert str(caught.value) == "need finite 0 <= start_s < end_s, got [2.0, 2.0]"
+
+    def test_length_rule_random(self, ten_seconds):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            a = float(rng.uniform(0, 9))
+            b = float(rng.uniform(a + 0.01, 10.0))
+            assert read_wav(ten_seconds[0], a, b).n_samples == round(b * 16000) - round(a * 16000)
 
     def test_whole_read_of_an_empty_data_chunk(self, tmp_path):
         path = tmp_path / "empty.wav"
