@@ -69,7 +69,11 @@ def label_sdr(length_s: float, snr_db: float, rng: np.random.Generator) -> float
     clean = speech_like(_fft_len(round(length_s * RATE)) / RATE, RATE, int(rng.integers(2**31)))
     scenario = SynthScenario(delay=delay, gain=gain, rir_taps=rir, noise_snr_db=snr_db,
                              seed=int(rng.integers(2**31)))
-    close, far, direct = synth_pair(clean, scenario)
+    return run_path_sdr(*synth_pair(clean, scenario))
+
+
+def run_path_sdr(close: np.ndarray, far: np.ndarray, direct: np.ndarray) -> float:
+    """The SDR in dB against ``direct`` of the label the run path makes from a pair."""
     align = gcc_phat(close, far, max_lag=RATE // 2)
     label = level_align(apply_shift(close, align.offset_samples, far.size), far,
                         StftConfig(), MflfConfig())
