@@ -1,12 +1,12 @@
 """Command line front-end.
 
-Subcommands: ``run`` (batch pipeline), ``simulate`` (synthetic corpus),
-``iam`` (mask target generation, saved as ``.npy``). ``run`` also accepts
-a ``key=value`` config file; explicit flags override file values.
+Subcommands: ``run`` (batch pipeline) and ``simulate`` (synthetic corpus).
+``run`` also accepts a ``key=value`` config file; explicit flags override
+file values. Mask targets are library calls (``iam_target``), not a command.
 
-Exit codes: 0 success; 1 a fault in an input file (missing, unreadable, or
-two files that cannot be compared), or a ``run`` whose every segment failed;
-2 a fault in a flag or the config.
+Exit codes: 0 success; 1 a fault in an input file (missing or unreadable), a
+``run`` whose every segment failed, or a pool worker that died; 2 a fault in a
+flag or the config.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .audio_io import ManifestError, parse_segments
-from .dsp import WINDOW_KINDS, StftConfig, stft
+from .dsp import WINDOW_KINDS, StftConfig
 from .level_align import MflfConfig
-from .losses import _check_clip_max, iam_target
-from .pipeline import PipelineConfig, _write_whole, read_pair, run_tls, write_results
+from .pipeline import PipelineConfig, run_tls, write_results
 from .synth import simulate_corpus
 
 # Public ``run`` key -> the config field it sets. The dataclasses own every
@@ -49,29 +46,27 @@ _RUN_HELP = {
     "window": "window kind: " + ", ".join(WINDOW_KINDS),
 }
 
-
-def _field_default(key: str):
-    cls, name = _RUN_KEYS[key]
-    return getattr(cls, name)
-
-
-_CONFIG_TYPES = {"manifest": str} | {key: type(_field_default(key)) for key in _RUN_KEYS}
+_CONFIG_TYPES = {"manifest": str} | {key: type(getattr(*field)) for key, field in _RUN_KEYS.items()}
 
 
 class _BadInput(Exception):
-    """A fault in a command's input files: unreadable, or impossible to compare (exit 1)."""
+    """A fault that exits 1: an unreadable input file, every segment failed, a dead worker."""
 
 
 def parse_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = Path(path).read_bytes().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
     values: dict = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for line_no, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: not UTF-8 text") from exc
         # "#" opens a comment at a line's start or after whitespace, never inside a value
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = re.split(r"(?:^|\s)#", text, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -79,16 +74,13 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if (first := set_on.setdefault(key, line_no)) != line_no:  # one file is one config
+            raise ValueError(f"{path}:{line_no}: {key} is already set on line {first}")
         try:
             values[key] = _CONFIG_TYPES[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
     return values
-
-
-def _add_field_flag(parser, key: str, **kwargs) -> None:
-    """Add ``--key`` typed like the default of the config field it sets."""
-    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key], **kwargs)
 
 
 def _defaults(func) -> dict:
@@ -105,12 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="process a segment manifest end to end")
+    run.set_defaults(func=_cmd_run)
     run.add_argument("--manifest", help="input JSONL segment manifest")
     run.add_argument("--config", help="key=value config file; flags override it")
-    for key in _RUN_KEYS:
-        _add_field_flag(run, key, help=_RUN_HELP.get(key))
+    for key in _RUN_KEYS:  # typed like the default of the config field each sets
+        run.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key],
+                         help=_RUN_HELP.get(key))
 
     sim = sub.add_parser("simulate", help="write a synthetic corpus with ground truth")
+    sim.set_defaults(func=_cmd_simulate)
     sim.add_argument("--out", required=True)
     sim.add_argument("--count", type=int, default=50)
     # Every other default is simulate_corpus's own; a range gives a low and a high flag.
@@ -124,14 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key, default in sim_defaults.items():
         sim.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
                          default=default)
-
-    iam = sub.add_parser("iam", help="ideal amplitude mask target from clean + mixture WAVs")
-    iam.add_argument("clean")
-    iam.add_argument("mixture")
-    iam.add_argument("-o", "--out", required=True, help="output .npy file")
-    iam.add_argument("--clip-max", type=float, default=_defaults(iam_target)["clip_max"])
-    for key in ("n_fft", "hop", "window"):
-        _add_field_flag(iam, key, default=_field_default(key), help=_RUN_HELP.get(key))
 
     return parser
 
@@ -157,7 +144,12 @@ def _cmd_run(args) -> int:
         raise _BadInput(f"bad manifest: {exc}") from exc
     except OSError as exc:
         raise _BadInput(f"cannot read manifest: {exc}") from exc
-    records = run_tls(manifest, pipe_cfg)
+    try:
+        records = run_tls(manifest, pipe_cfg)
+    except RuntimeError as exc:  # only a dead worker is one line; the rest keep a traceback
+        if not str(exc).startswith("a pool worker died "):
+            raise
+        raise _BadInput(exc) from exc
     results_path = Path(pipe_cfg.output_dir) / "results.jsonl"
     write_results(records, results_path)
     kept = sum(1 for r in records if r.kept)
@@ -184,30 +176,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_iam(args) -> int:
-    _check_clip_max(args.clip_max)  # flag faults, so checked before either read
-    cfg = StftConfig(n_fft=args.n_fft, hop=args.hop, window_kind=args.window)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            clean, mixture, _ = read_pair(args.clean, args.mixture)
-            mask = iam_target(np.abs(stft(clean, cfg).data), np.abs(stft(mixture, cfg).data),
-                              clip_max=args.clip_max)
-    except (ValueError, OSError, FloatingPointError) as exc:  # a fault in an input file
-        raise _BadInput(exc) from exc
-    # Through a file object, so np.save adds no ".npy".
-    with _write_whole(args.out) as part, open(part, "wb") as fh:
-        np.save(fh, mask)
-    print(f"wrote {mask.shape[0]}x{mask.shape[1]} mask to {args.out}")
-    return 0
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "simulate": _cmd_simulate,
-    "iam": _cmd_iam,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -216,7 +184,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # The prefix tells the exit code: "<command>: " for 1, "pseudolabel <command>: " for 2.
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (_BadInput, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

@@ -35,11 +35,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
 
 
-def _check_clip_max(clip_max: float) -> None:
-    if not clip_max > 0:
-        raise ValueError(f"clip_max must be positive, got {clip_max}")
-
-
 def _as_grid(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -91,7 +86,8 @@ def mca_grad(A, B, alpha: float = DEFAULT_MCA_ALPHA) -> np.ndarray:
 
 def iam_target(mag_S, mag_Y, clip_max: float = 2.0) -> np.ndarray:
     """Ideal amplitude mask ``min(|S| / |Y|, clip_max)``; ``|Y|`` must not be all zero."""
-    _check_clip_max(clip_max)
+    if not clip_max > 0:
+        raise ValueError(f"clip_max must be positive, got {clip_max}")
     S, Y = _grid_pair(mag_S, mag_Y)
     if not Y.any():
         raise ValueError("mixture grid is all-zero")

@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -11,16 +12,15 @@ import numpy as np
 import pytest
 
 import pseudolabel
-from pseudolabel import PipelineConfig
+from pseudolabel import PipelineConfig, pipeline
 from pseudolabel.audio_io import AudioClip, read_wav, write_wav
 from pseudolabel.cli import build_parser, main, parse_config_file
-from pseudolabel.dsp import WINDOW_KINDS, StftConfig, stft
+from pseudolabel.dsp import WINDOW_KINDS
 from pseudolabel.level_align import MflfConfig, solve_mflf
-from pseudolabel.losses import iam_target, mca_grad, mca_loss
+from pseudolabel.losses import mca_grad, mca_loss
 from pseudolabel.pipeline import filter_pairs, read_pair
-from pseudolabel.synth import SynthScenario, simulate_corpus, speech_like, synth_pair
+from pseudolabel.synth import simulate_corpus
 from pseudolabel.time_align import gcc_phat
-from rawwav import raw_wav_bytes
 
 
 def wav_of(tmp_path, name, samples, rate=16000):
@@ -54,159 +54,6 @@ class TestBasics:
         bound = {name for name, value in vars(pseudolabel).items()
                  if not name.startswith("_") and not inspect.ismodule(value)}
         assert sorted(pseudolabel.__all__) == sorted(bound)
-
-
-@pytest.mark.parametrize("command", ["iam"])
-def test_two_wav_commands_reject_differing_rates(tmp_path, capsys, command):
-    x = speech_like(0.5, 16000, 0)
-    a = wav_of(tmp_path, "a16k.wav", x)
-    b = wav_of(tmp_path, "b8k.wav", x[::2], rate=8000)
-    assert main([command, a, b, "-o", str(tmp_path / "mask.npy")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.strip() == \
-           f"{command}: sample rates differ: 16000 Hz in {a}, 8000 Hz in {b}"
-    assert captured.out == ""
-    assert not (tmp_path / "mask.npy").exists()
-
-
-@pytest.mark.parametrize("command", ["iam"])
-def test_two_wav_commands_reject_a_non_finite_sample(tmp_path, capsys, command):
-    x = speech_like(0.5, 16000, 0)
-    a = wav_of(tmp_path, "a.wav", x)
-    x[x.size // 2] = np.nan
-    b = wav_of(tmp_path, "b_nan.wav", x)
-    assert main([command, a, b, "-o", str(tmp_path / "mask.npy")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.strip() == f"{command}: non-finite sample in {b}"
-    assert captured.out == ""
-    assert not (tmp_path / "mask.npy").exists()
-
-
-def float64_wav_of(tmp_path, name, samples, rate=16000) -> str:
-    """A mono float64 WAV, which ``write_wav`` does not write."""
-    path = tmp_path / name
-    path.write_bytes(raw_wav_bytes(np.asarray(samples, dtype="<f8").tobytes(), 3, 1, rate, 64))
-    return str(path)
-
-
-# A 1e300 clean file over a 1e-300 mixture overflows the magnitude ratio; the
-# command fails instead of writing a mask of inf.
-@pytest.mark.parametrize("command", ["iam"])
-def test_two_wav_commands_reject_an_overflow(tmp_path, capsys, command):
-    s = np.random.default_rng(5).standard_normal(8000)
-    a = float64_wav_of(tmp_path, "a.wav", 1e300 * s)
-    b = float64_wav_of(tmp_path, "b.wav", 1e-300 * s)
-    assert main([command, a, b, "-o", str(tmp_path / "mask.npy")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.strip() == f"{command}: overflow encountered in divide"
-    assert captured.out == ""
-    assert not (tmp_path / "mask.npy").exists()
-
-
-def empty_wav_of(tmp_path, name) -> str:
-    """A float32 WAV with an empty ``data`` chunk, which ``write_wav`` refuses to write."""
-    path = tmp_path / name
-    path.write_bytes(raw_wav_bytes(b"", 3, 1, 16000, 32))
-    return str(path)
-
-
-# A fault in an input file exits 1: missing, undecodable, or two files the
-# command cannot compare. A fault in a flag exits 2.
-_EXIT_RULE = {"missing": 1, "undecodable": 1, "incomparable": 1, "bad_flag": 2}
-
-
-@pytest.mark.parametrize("fault", list(_EXIT_RULE))
-@pytest.mark.parametrize("command", ["iam"])
-def test_exit_code_rule(tmp_path, capsys, command, fault):
-    junk = tmp_path / "junk.bin"
-    junk.write_bytes(b"neither a WAV nor a grid")
-    good = wav_of(tmp_path, "good.wav", speech_like(0.5, 16000, 0))
-    second = {"missing": tmp_path / "missing", "undecodable": junk,
-              "incomparable": empty_wav_of(tmp_path, "empty.wav"), "bad_flag": good}[fault]
-    argv = [command, str(good), str(second), "-o", str(tmp_path / "mask.npy")]
-    argv += ["--n-fft", "100"] if fault == "bad_flag" else []
-    assert main(argv) == _EXIT_RULE[fault]
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err
-    assert not (tmp_path / "mask.npy").exists()
-
-
-class TestIamCommand:
-    def test_writes_mask_grid(self, tmp_path, capsys):
-        clean = speech_like(0.5, 16000, 3)
-        mix = clean + 0.1 * np.random.default_rng(4).standard_normal(clean.size)
-        c = wav_of(tmp_path, "c.wav", clean)
-        m = wav_of(tmp_path, "m.wav", mix)
-        out = tmp_path / "mask.npy"
-        assert main(["iam", c, m, "-o", str(out), "--clip-max", "2.0"]) == 0
-        mask = np.load(out)
-        assert mask.ndim == 2 and mask.dtype == np.float64
-        assert mask.min() >= 0.0 and mask.max() <= 2.0
-        mag_c, mag_m = (np.abs(stft(read_wav(p).channels[0], StftConfig()).data) for p in (c, m))
-        np.testing.assert_array_equal(mask, iam_target(mag_c, mag_m, clip_max=2.0))
-
-    # np.save appends ".npy" to a name without it, unless handed an open file.
-    def test_writes_exactly_the_named_path(self, tmp_path, capsys):
-        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
-        out = tmp_path / "mask"
-        assert main(["iam", c, c, "-o", str(out)]) == 0
-        assert capsys.readouterr().out == f"wrote 33x257 mask to {out}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.wav", "mask"]
-        np.testing.assert_array_equal(np.load(out), np.ones((33, 257)))
-
-    # An interrupted save leaves the earlier mask whole, and no partial file.
-    def test_interrupted_save_keeps_the_earlier_mask(self, tmp_path, monkeypatch):
-        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
-        out = tmp_path / "mask.npy"
-        out.write_bytes(b"earlier")
-
-        def torn_save(fh, array):
-            fh.write(b"torn")
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(np, "save", torn_save)
-        with pytest.raises(KeyboardInterrupt):
-            main(["iam", c, c, "-o", str(out)])
-        assert out.read_bytes() == b"earlier"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.wav", "mask.npy"]
-
-    # A kept segment against the longer session file it was cut from is two
-    # grid shapes; no crop picks a part of the longer one.
-    def test_two_lengths_are_bad_input(self, tmp_path, capsys):
-        clean = speech_like(1.0, 16000, 3)
-        c = wav_of(tmp_path, "c.wav", clean[:8000])
-        m = wav_of(tmp_path, "m.wav", clean)
-        out = tmp_path / "mask.npy"
-        assert main(["iam", c, m, "-o", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "iam: shape mismatch: (33, 257) vs (64, 257)\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_silent_mixture_is_bad_input(self, tmp_path, capsys):
-        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
-        silent = wav_of(tmp_path, "silent.wav", np.zeros(8000))
-        out = tmp_path / "mask.npy"
-        assert main(["iam", c, silent, "-o", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "iam: mixture grid is all-zero\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_clip_max_is_checked_before_either_read(self, tmp_path, capsys):
-        missing = str(tmp_path / "missing.wav")
-        assert main(["iam", missing, missing, "-o", str(tmp_path / "m.npy"),
-                     "--clip-max", "0"]) == 2
-        assert capsys.readouterr().err == "pseudolabel iam: clip_max must be positive, got 0.0\n"
-
-    def test_nan_clip_max_is_usage_error(self, tmp_path, capsys):
-        c = wav_of(tmp_path, "c.wav", speech_like(0.5, 16000, 3))
-        out = tmp_path / "mask.npy"
-        assert main(["iam", c, c, "-o", str(out), "--clip-max", "nan"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "pseudolabel iam: clip_max must be positive, got nan\n"
-        assert captured.out == ""
-        assert not out.exists()
 
 
 class TestSimulateAndRun:
@@ -328,6 +175,39 @@ class TestSimulateAndRun:
         Path("empty.jsonl").write_text("")
         assert main(["run", "--manifest", "empty.jsonl"]) == 0  # no row, so none failed
 
+    # A worker that dies loses the batch: one line, exit 1, no results.jsonl and no
+    # child left. Any other exception from run_tls keeps its traceback. Starts 2
+    # processes in all.
+    @pytest.mark.skipif(not pipeline._CAN_FORK, reason="run_tls forks no worker here")
+    def test_dead_worker_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def dies_on_row_2(seg, clash, config):
+            if seg.start_s == 2.0:
+                os._exit(9)
+            return pipeline.PseudoLabelRecord(seg)
+
+        monkeypatch.setattr(pipeline, "_process_segment", dies_on_row_2)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"session_id": "s", "speaker_id": "a", "start_s": float(i),
+                        "end_s": i + 1.0, "close_talk_path": "c.wav",
+                        "farfield_path": "f.wav"}) + "\n" for i in range(4)))
+        out_dir = tmp_path / "o"
+        argv = ["run", "--manifest", str(manifest), "--out", str(out_dir), "--workers", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "run: a pool worker died (exit status 9) before returning rows 2-3\n"
+        assert captured.out == ""
+        assert not (out_dir / "results.jsonl").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+        def fails(manifest, config):
+            raise RuntimeError("not a dead worker")
+
+        monkeypatch.setattr("pseudolabel.cli.run_tls", fails)
+        with pytest.raises(RuntimeError, match="^not a dead worker$"):
+            main(argv)
+
     def test_infinite_manifest_end_is_bad_manifest(self, tmp_path, capsys):
         row = {"session_id": "s", "speaker_id": "a", "start_s": 0.0, "end_s": math.inf,
                "close_talk_path": "c.wav", "farfield_path": "f.wav"}
@@ -353,7 +233,7 @@ class TestSimulateAndRun:
 
     # StftConfig alone checks the window kind, so a flag and a config file
     # fail with one line, before anything is read or written.
-    @pytest.mark.parametrize("command", ["run", "iam"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_bad_window_is_the_config_files_one_line(self, tmp_path, capsys, monkeypatch,
                                                      command):
         monkeypatch.chdir(tmp_path)
@@ -362,11 +242,9 @@ class TestSimulateAndRun:
         from_file = capsys.readouterr().err
         assert from_file == ("pseudolabel run: unsupported window kind 'foo'; "
                              f"expected one of {WINDOW_KINDS}\n")
-        argv = {"run": ["run", "--manifest", "m"],
-                "iam": ["iam", "c.wav", "m.wav", "-o", "mask.npy"]}[command]
-        assert main(argv + ["--window", "foo"]) == 2
+        assert main(["run", "--manifest", "m", "--window", "foo"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == from_file.replace("run:", f"{command}:")
+        assert captured.err == from_file
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["w.cfg"]
         assert main([command, "--help"]) == 0
@@ -496,6 +374,23 @@ class TestConfigFile:
             f"pseudolabel run: {cfg}:2: bad value for workers: ")
         assert not out_dir.exists()
 
+    # One file is one config: the second setting of a key is a fault, not an override.
+    def test_key_set_twice_names_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("hop = 128\nhop = 256\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--manifest", "m", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"pseudolabel run: {cfg}:2: hop is already set on line 1\n"
+        assert not out_dir.exists()
+
+    def test_non_utf8_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_bytes(b"# pipeline settings\nout = caf\xe9\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--manifest", "m", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"pseudolabel run: {cfg}:2: not UTF-8 text\n"
+        assert not out_dir.exists()
+
 
 @pytest.fixture
 def run_configs(tmp_path, monkeypatch):
@@ -558,7 +453,8 @@ class TestRunConfig:
                 argv = base + ["--" + key.replace("_", "-"), value]
             else:
                 cfg = tmp_path / f"{key}.cfg"
-                cfg.write_text(f"manifest = m.jsonl\nout = o\n{key} = {value}\n")
+                lines = {"manifest": "m.jsonl", "out": "o", key: value}  # each key once
+                cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
                 argv = ["run", "--config", str(cfg)]
             assert main(argv) == 0
             changed = [field for field, v in _field_values(run_configs.pop()).items()
@@ -591,14 +487,11 @@ class TestFlagDefaults:
         flags = {command: {a.dest: a.default for a in sub._actions
                            if a.option_strings and a.dest != "help"}
                  for command, sub in subparsers.choices.items()}
-        assert list(flags) == ["run", "simulate", "iam"]
-        stft, sim = StftConfig(), _signature_defaults(simulate_corpus)
+        assert list(flags) == ["run", "simulate"]
+        sim = _signature_defaults(simulate_corpus)
         # run's flags default to unset, so its config file and the dataclasses
         # fill in (TestRunConfig); required flags have no default to own.
         assert set(flags["run"].values()) == {None}
-        assert flags["iam"] == {"out": None, "n_fft": stft.n_fft, "hop": stft.hop,
-                                "window": stft.window_kind,
-                                "clip_max": _signature_defaults(iam_target)["clip_max"]}
         simulate = flags["simulate"]
         assert simulate.pop("out") is None
         simulate.pop("count")  # simulate_corpus has no default count; the CLI owns it

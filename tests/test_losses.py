@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pseudolabel.audio_io import AudioClip, read_wav, write_wav
+from pseudolabel.dsp import StftConfig, stft
 from pseudolabel.losses import iam_target, mca_grad, mca_loss
+from pseudolabel.pipeline import read_pair
+from pseudolabel.synth import speech_like
 
 
 def finite_difference_grad(A, B, alpha, step=1e-6):
@@ -176,3 +180,20 @@ class TestIamTarget:
     def test_divisor_floor_is_relative_to_the_peak(self):
         mask = iam_target(np.array([[0.5, 1e-13]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(mask, [[0.5, 0.1]], rtol=1e-12)
+
+    # The README's recipe for a mask file: read_pair, stft, iam_target, np.save.
+    def test_readme_recipe_saves_the_mask_of_two_wavs(self, tmp_path):
+        clean = speech_like(0.5, 16000, 3)
+        mix = clean + 0.1 * np.random.default_rng(4).standard_normal(clean.size)
+        paths = [tmp_path / "clean.wav", tmp_path / "mixture.wav"]
+        for path, samples in zip(paths, (clean, mix)):
+            write_wav(path, AudioClip(samples, 16000), "float32")
+        cfg = StftConfig()
+        s, y, _ = read_pair(*paths)
+        np.save(tmp_path / "mask.npy",
+                iam_target(np.abs(stft(s, cfg).data), np.abs(stft(y, cfg).data)))
+        mask = np.load(tmp_path / "mask.npy")
+        assert mask.ndim == 2 and mask.dtype == np.float64
+        assert mask.min() >= 0.0 and mask.max() <= 2.0
+        mag_s, mag_y = (np.abs(stft(read_wav(p).channels[0], cfg).data) for p in paths)
+        np.testing.assert_array_equal(mask, iam_target(mag_s, mag_y))
