@@ -243,8 +243,9 @@ def _read_jsonl(path, parse) -> list:
     Raises :class:`ManifestError` naming the first bad line.
     """
     rows = []
-    # A byte that is not UTF-8 decodes to a lone surrogate, which fails its line below.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which fails its line below;
+    # a leading byte order mark is skipped.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

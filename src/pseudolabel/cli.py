@@ -12,6 +12,7 @@ flag or the config.
 from __future__ import annotations
 
 import argparse
+import codecs
 import inspect
 import re
 import sys
@@ -38,12 +39,18 @@ _RUN_KEYS = {
     "max_lag_s": (PipelineConfig, "max_lag_s"),
     "snr_threshold_db": (PipelineConfig, "snr_threshold_db"),
 }
+# Each flag's help; its default is appended from the field the key sets.
 _RUN_HELP = {
-    "out": "output directory (results.jsonl + kept WAVs)",
+    "out": "output directory for results.jsonl and the kept WAVs",
     "workers": "parallel worker processes",
+    "n_fft": "STFT frame length in samples",
+    "hop": "STFT hop in samples",
+    "window": "window kind: " + ", ".join(WINDOW_KINDS),
     "taps": "filter taps per frequency bin",
     "xi": "weight floor coefficient",
-    "window": "window kind: " + ", ".join(WINDOW_KINDS),
+    "diag_load": "relative diagonal loading of each bin's solve",
+    "max_lag_s": "correlation search window, +/- seconds",
+    "snr_threshold_db": "discard a segment whose SNR estimate is below this, in dB",
 }
 
 _CONFIG_TYPES = {"manifest": str} | {key: type(getattr(*field)) for key, field in _RUN_KEYS.items()}
@@ -55,7 +62,7 @@ class _BadInput(Exception):
 
 def parse_config_file(path) -> dict:
     try:
-        lines = Path(path).read_bytes().splitlines()
+        lines = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
     values: dict = {}
@@ -102,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key=value config file; flags override it")
     for key in _RUN_KEYS:  # typed like the default of the config field each sets
         run.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key],
-                         help=_RUN_HELP.get(key))
+                         help=f"{_RUN_HELP[key]} (default: {getattr(*_RUN_KEYS[key])})")
 
     sim = sub.add_parser("simulate", help="write a synthetic corpus with ground truth")
     sim.set_defaults(func=_cmd_simulate)

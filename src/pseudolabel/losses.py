@@ -92,4 +92,7 @@ def iam_target(mag_S, mag_Y, clip_max: float = 2.0) -> np.ndarray:
     if not Y.any():
         raise ValueError("mixture grid is all-zero")
     floor = max(1e-12 * float(Y.max()), np.finfo(np.float64).tiny)
-    return np.minimum(S / np.maximum(Y, floor), clip_max)
+    # Y is floored above 0 and both grids are finite, so the one fault is an overflow:
+    # a ratio past the largest float, which is inf, and then clip_max, as it should be.
+    with np.errstate(over="ignore"):
+        return np.minimum(S / np.maximum(Y, floor), clip_max)

@@ -27,7 +27,7 @@ from .audio_io import AudioClip, SegmentRecord, _read_jsonl, read_wav, write_wav
 from .audio_io import _frame_range as cut_segment  # noqa: F401
 from .dsp import StftConfig
 from .level_align import MflfConfig, level_align
-from .time_align import apply_shift, gcc_phat
+from .time_align import AlignmentResult, apply_shift, gcc_phat
 
 
 @dataclass
@@ -186,6 +186,15 @@ def _output_name(seg: SegmentRecord) -> str:
     return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{min(seg.end_s, 2**32):.3f}.wav"
 
 
+def _label(s1: np.ndarray, y: np.ndarray, rate: int, config: PipelineConfig,
+           ) -> tuple[AlignmentResult, np.ndarray]:
+    """The run path's stages: ``s1``'s alignment to ``y``, and the pseudo label, ``s1``
+    shifted by it and level-aligned to ``y``."""
+    align = gcc_phat(s1, y, max_lag=int(round(config.max_lag_s * rate)))
+    shifted = apply_shift(s1, align.offset_samples, y.size)
+    return align, level_align(shifted, y, config.stft, config.mflf)
+
+
 def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConfig,
                      ) -> PseudoLabelRecord:
     """One segment's row; ``clash`` is the index of an earlier row with the same output
@@ -200,10 +209,7 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
             raise ValueError(f"output name {_output_name(seg)} collides with row {clash}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             s1, y, rate = read_pair(seg.close_talk_path, seg.farfield_path, seg.start_s, seg.end_s)
-            max_lag = int(round(config.max_lag_s * rate))
-            align = gcc_phat(s1, y, max_lag=max_lag)
-            shifted = apply_shift(s1, align.offset_samples, y.size)
-            pseudo = level_align(shifted, y, config.stft, config.mflf)
+            align, pseudo = _label(s1, y, rate, config)
             rec.offset_samples, rec.peak_ratio = align.offset_samples, align.peak_ratio
             rec.snr_db = estimate_snr(pseudo, y)
             filter_pairs([rec], config.snr_threshold_db)

@@ -286,6 +286,13 @@ class TestParseSegments:
         path.write_text(json.dumps(row) + "\n")
         assert parse_segments(path) == [SegmentRecord("7", "2", 0.5, 1.25, "c", "f")]
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        row = {"session_id": "s", "speaker_id": "a", "start_s": 0, "end_s": 1,
+               "close_talk_path": "c", "farfield_path": "f"}
+        path.write_text("\ufeff" + json.dumps(row) + "\n", encoding="utf-8")
+        assert parse_segments(path) == [SegmentRecord("s", "a", 0.0, 1.0, "c", "f")]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"
         row = {"session_id": "s", "speaker_id": "a", "start_s": 0, "end_s": 1,

@@ -14,7 +14,7 @@ import pytest
 import pseudolabel
 from pseudolabel import PipelineConfig, pipeline
 from pseudolabel.audio_io import AudioClip, read_wav, write_wav
-from pseudolabel.cli import build_parser, main, parse_config_file
+from pseudolabel.cli import _RUN_KEYS, build_parser, main, parse_config_file
 from pseudolabel.dsp import WINDOW_KINDS
 from pseudolabel.level_align import MflfConfig, solve_mflf
 from pseudolabel.losses import mca_grad, mca_loss
@@ -37,8 +37,12 @@ class TestBasics:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
-    def test_unknown_command_is_usage_error(self):
-        assert main(["frobnicate"]) == 2
+    # The deleted commands (align, iam, snr, mca) are unknown like any other name.
+    @pytest.mark.parametrize("command", ["frobnicate", "align", "iam", "snr", "mca"])
+    def test_unknown_command_is_usage_error(self, capsys, command):
+        assert main([command, "a", "b"]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in err and "Traceback" not in err
 
     def test_version_is_written_once(self):
         read_configuration = pytest.importorskip("setuptools.config.pyprojecttoml").read_configuration
@@ -92,6 +96,26 @@ class TestSimulateAndRun:
         want = gcc_phat(close, far, max_lag=round(PipelineConfig().max_lag_s * rate))
         assert result["offset_samples"] == want.offset_samples == -160
         assert result["peak_ratio"] == want.peak_ratio > 1.0
+
+    # A row is a pure function of its inputs, so the output directories match file for
+    # file. At hop 128, n_fft // hop = 4 phases reach istft's edges, and solve_mflf runs
+    # unloaded. Each case starts 2 processes, and none outlives its run.
+    @pytest.mark.parametrize("flags", [[], ["--hop", "128", "--diag-load", "0", "--taps", "3"]],
+                             ids=["defaults", "hop128_unloaded_3taps"])
+    def test_output_is_the_same_at_1_and_2_workers(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out", "corpus", "--count", "3", "--seed", "1",
+                     "--min-duration-s", "1", "--max-duration-s", "2"]) == 0
+        trees = []
+        for workers in ("1", "2"):
+            assert main(["run", "--manifest", "corpus/manifest.jsonl", "--out", "out",
+                         "--workers", workers, *flags]) == 0
+            os.replace("out", f"out{workers}")  # the same --out path, so the rows can match
+            trees.append({p.name: p.read_bytes() for p in Path(f"out{workers}").iterdir()})
+        assert trees[0] == trees[1]
+        assert "results.jsonl" in trees[0] and not [n for n in trees[0] if n.endswith(".partial")]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_rate_comes_from_the_files(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -325,6 +349,11 @@ class TestConfigFile:
         assert parse_config_file(cfg) == {"out": "/data/run#3",
                                           "manifest": "/data/take#2/m.jsonl"}
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("\ufeffhop = 128\n", encoding="utf-8")
+        assert parse_config_file(cfg) == {"hop": 128}
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("volume = 11\n")
@@ -490,8 +519,12 @@ class TestFlagDefaults:
         assert list(flags) == ["run", "simulate"]
         sim = _signature_defaults(simulate_corpus)
         # run's flags default to unset, so its config file and the dataclasses
-        # fill in (TestRunConfig); required flags have no default to own.
+        # fill in (TestRunConfig); required flags have no default to own. Each key's
+        # help states the default of the field it sets.
         assert set(flags["run"].values()) == {None}
+        helps = {a.dest: a.help for a in subparsers.choices["run"]._actions}
+        for key, (owner, name) in _RUN_KEYS.items():
+            assert helps[key].endswith(f" (default: {getattr(owner(), name)})"), helps[key]
         simulate = flags["simulate"]
         assert simulate.pop("out") is None
         simulate.pop("count")  # simulate_corpus has no default count; the CLI owns it

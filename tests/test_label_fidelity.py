@@ -3,9 +3,9 @@
 TLS's product is the label waveform, so this module measures it directly.
 Seeded pairs are drawn in memory with ``speech_like``, ``gen_rir`` and
 ``synth_pair`` over two length bands (0.5-2 s and 4-8 s) and five truth
-SNR bands, 12 pairs per cell. Each pair goes through the run path's steps
-(``gcc_phat``, ``apply_shift``, ``level_align`` at the default configs),
-and its label SDR is ``10*log10(||d||^2 / ||d - s3||^2)`` against the
+SNR bands, 12 pairs per cell. Each pair goes through the run path's own
+stages (``pipeline._label`` at the default ``PipelineConfig``), and its
+label SDR is ``10*log10(||d||^2 / ||d - s3||^2)`` against the
 direct sound ``d`` (the BSS Eval SDR of Vincent, Gribonval & Fevotte,
 IEEE TASLP 2006, with no allowed distortion).
 
@@ -26,10 +26,9 @@ import math
 import numpy as np
 import pytest
 
-from pseudolabel.dsp import StftConfig
-from pseudolabel.level_align import MflfConfig, level_align
+from pseudolabel.pipeline import PipelineConfig, _label
 from pseudolabel.synth import SynthScenario, gen_rir, speech_like, synth_pair
-from pseudolabel.time_align import _fft_len, apply_shift, gcc_phat
+from pseudolabel.time_align import _fft_len
 
 RATE = 16000
 PER_CELL = 12
@@ -74,9 +73,7 @@ def label_sdr(length_s: float, snr_db: float, rng: np.random.Generator) -> float
 
 def run_path_sdr(close: np.ndarray, far: np.ndarray, direct: np.ndarray) -> float:
     """The SDR in dB against ``direct`` of the label the run path makes from a pair."""
-    align = gcc_phat(close, far, max_lag=RATE // 2)
-    label = level_align(apply_shift(close, align.offset_samples, far.size), far,
-                        StftConfig(), MflfConfig())
+    _, label = _label(close, far, RATE, PipelineConfig())
     err = direct - label
     return 10.0 * math.log10(float(np.sum(direct * direct)) / float(np.sum(err * err)))
 

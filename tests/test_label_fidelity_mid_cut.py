@@ -12,7 +12,7 @@ than the cut, a delay of 0-4000 samples, a gain of 0.05-0.5, a ``gen_rir``
 tail of 10-50 ms decay (cut at one decay time) and white noise at the
 cell's truth SNR. Both channels and the direct sound are cut on one
 interval from 0.5 s, inside the talk of both channels. The cut pair then
-goes through the run path's steps at the default configs, and its label
+goes through the run path's stages at the default configs, and its label
 SDR is measured against the cut direct sound, as ``test_label_fidelity``
 measures it. 40 pairs per cell, as in the probe that found the loss.
 

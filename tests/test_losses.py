@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,12 @@ class TestIamTarget:
     def test_divisor_floor_is_relative_to_the_peak(self):
         mask = iam_target(np.array([[0.5, 1e-13]]), np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(mask, [[0.5, 0.1]], rtol=1e-12)
+
+    def test_overflowing_ratio_is_clip_max_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = iam_target(np.full((2, 3), 1e300), np.full((2, 3), 1e-300))
+        np.testing.assert_array_equal(mask, 2.0)
 
     # The README's recipe for a mask file: read_pair, stft, iam_target, np.save.
     def test_readme_recipe_saves_the_mask_of_two_wavs(self, tmp_path):
