@@ -35,6 +35,7 @@ from .losses import McaReport, iam_target, mca_grad, mca_loss
 from .pipeline import (
     PipelineConfig,
     PseudoLabelRecord,
+    WorkerDiedError,
     estimate_snr,
     filter_pairs,
     read_results,
@@ -60,6 +61,7 @@ __all__ = [
     "StftConfig",
     "SynthScenario",
     "WavFormatError",
+    "WorkerDiedError",
     "apply_mflf",
     "apply_shift",
     "estimate_snr",

@@ -22,38 +22,28 @@ from pathlib import Path
 from .audio_io import ManifestError, parse_segments
 from .dsp import WINDOW_KINDS, StftConfig
 from .level_align import MflfConfig
-from .pipeline import PipelineConfig, run_tls, write_results
+from .pipeline import PipelineConfig, WorkerDiedError, run_tls, write_results
 from .synth import simulate_corpus
 
-# Public ``run`` key -> the config field it sets. The dataclasses own every
-# type and default; the config-file types and the flags are derived here.
+# Public ``run`` key -> (the config class, the field it sets, the flag's help). The
+# dataclasses own every type and default; the config-file types and the flags are
+# derived here, and each flag's help ends with its field's default.
 _RUN_KEYS = {
-    "out": (PipelineConfig, "output_dir"),
-    "workers": (PipelineConfig, "worker_count"),
-    "n_fft": (StftConfig, "n_fft"),
-    "hop": (StftConfig, "hop"),
-    "window": (StftConfig, "window_kind"),
-    "taps": (MflfConfig, "L"),
-    "xi": (MflfConfig, "xi"),
-    "diag_load": (MflfConfig, "diag_load"),
-    "max_lag_s": (PipelineConfig, "max_lag_s"),
-    "snr_threshold_db": (PipelineConfig, "snr_threshold_db"),
-}
-# Each flag's help; its default is appended from the field the key sets.
-_RUN_HELP = {
-    "out": "output directory for results.jsonl and the kept WAVs",
-    "workers": "parallel worker processes",
-    "n_fft": "STFT frame length in samples",
-    "hop": "STFT hop in samples",
-    "window": "window kind: " + ", ".join(WINDOW_KINDS),
-    "taps": "filter taps per frequency bin",
-    "xi": "weight floor coefficient",
-    "diag_load": "relative diagonal loading of each bin's solve",
-    "max_lag_s": "correlation search window, +/- seconds",
-    "snr_threshold_db": "discard a segment whose SNR estimate is below this, in dB",
+    "out": (PipelineConfig, "output_dir", "output directory for results.jsonl and the kept WAVs"),
+    "workers": (PipelineConfig, "worker_count", "parallel worker processes"),
+    "n_fft": (StftConfig, "n_fft", "STFT frame length in samples"),
+    "hop": (StftConfig, "hop", "STFT hop in samples"),
+    "window": (StftConfig, "window_kind", "window kind: " + ", ".join(WINDOW_KINDS)),
+    "taps": (MflfConfig, "L", "filter taps per frequency bin"),
+    "xi": (MflfConfig, "xi", "weight floor coefficient"),
+    "diag_load": (MflfConfig, "diag_load", "relative diagonal loading of each bin's solve"),
+    "max_lag_s": (PipelineConfig, "max_lag_s", "correlation search window, +/- seconds"),
+    "snr_threshold_db": (PipelineConfig, "snr_threshold_db",
+                         "discard a segment whose SNR estimate is below this, in dB"),
 }
 
-_CONFIG_TYPES = {"manifest": str} | {key: type(getattr(*field)) for key, field in _RUN_KEYS.items()}
+_CONFIG_TYPES = {"manifest": str} | {key: type(getattr(cls, name))
+                                      for key, (cls, name, _) in _RUN_KEYS.items()}
 
 
 class _BadInput(Exception):
@@ -107,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
     run.add_argument("--manifest", help="input JSONL segment manifest")
     run.add_argument("--config", help="key=value config file; flags override it")
-    for key in _RUN_KEYS:  # typed like the default of the config field each sets
+    for key, (cls, name, text) in _RUN_KEYS.items():  # typed like the field each sets
         run.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_TYPES[key],
-                         help=f"{_RUN_HELP[key]} (default: {getattr(*_RUN_KEYS[key])})")
+                         help=f"{text} (default: {getattr(cls, name)})")
 
     sim = sub.add_parser("simulate", help="write a synthetic corpus with ground truth")
     sim.set_defaults(func=_cmd_simulate)
@@ -140,7 +130,7 @@ def _cmd_run(args) -> int:
     # Only the keys set above reach the constructors; the dataclasses supply
     # every other default.
     fields = {StftConfig: {}, MflfConfig: {}, PipelineConfig: {}}
-    for key, (cls, name) in _RUN_KEYS.items():
+    for key, (cls, name, _) in _RUN_KEYS.items():
         if key in values:
             fields[cls][name] = values[key]
     pipe_cfg = PipelineConfig(stft=StftConfig(**fields[StftConfig]),
@@ -153,9 +143,7 @@ def _cmd_run(args) -> int:
         raise _BadInput(f"cannot read manifest: {exc}") from exc
     try:
         records = run_tls(manifest, pipe_cfg)
-    except RuntimeError as exc:  # only a dead worker is one line; the rest keep a traceback
-        if not str(exc).startswith("a pool worker died "):
-            raise
+    except WorkerDiedError as exc:  # one line; any other RuntimeError keeps its traceback
         raise _BadInput(exc) from exc
     results_path = Path(pipe_cfg.output_dir) / "results.jsonl"
     write_results(records, results_path)

@@ -224,6 +224,10 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
     return rec
 
 
+class WorkerDiedError(RuntimeError):
+    """A forked worker ended before it sent back the rows it held."""
+
+
 # Rows a worker takes at a time, fewer when the manifest is short. run_tls over the
 # turns_w2 corpus (150 turns of 0.5-2 s, 2 workers, 2 cores), median of 25 fresh
 # processes each, interleaved: 454, 442, 426, 445 and 436 ms at 1, 2, 4, 8 and 16.
@@ -241,9 +245,9 @@ def _fork_map(fn: Callable, args: list[tuple], workers: int) -> Iterator:
 
     Each child takes ``_CHUNK_ROWS`` contiguous items at a time (fewer, so that every
     child gets one, when ``args`` is short) and is handed the next chunk when it sends
-    one back. A child that dies before sending its chunk raises ``RuntimeError`` naming
-    how it ended and every item of the chunk (``rows 4-7``, or ``row 4`` for one). Every
-    child is killed and reaped before this generator ends, on any path."""
+    one back. A child that dies before sending its chunk raises :class:`WorkerDiedError`
+    naming how it ended and every item of the chunk (``rows 4-7``, or ``row 4`` for one).
+    Every child is killed and reaped before this generator ends, on any path."""
     # Imported here, so that import pseudolabel and a serial run load neither.
     import select
     import signal
@@ -319,8 +323,8 @@ def _fork_map(fn: Callable, args: list[tuple], workers: int) -> Iterator:
                     how = f"exit status {code}" if code >= 0 else f"signal {-code}"
                     last = min(start + chunk, len(args)) - 1
                     rows = f"rows {start}-{last}" if last > start else f"row {last}"
-                    raise RuntimeError(f"a pool worker died ({how}) before returning "
-                                       f"{rows}") from None
+                    raise WorkerDiedError(f"a pool worker died ({how}) before returning "
+                                          f"{rows}") from None
                 hand_out(key)
             while row in done:
                 ready = done.pop(row)
@@ -346,7 +350,7 @@ def run_tls(manifest: list[SegmentRecord], config: PipelineConfig) -> list[Pseud
     Forks ``min(config.worker_count, len(manifest))`` worker processes, or
     none when that is at most 1 or where fork is not safe (Windows, macOS);
     the rows are the same either way. A worker that dies raises
-    ``RuntimeError``, and no row is returned; no worker outlives the call.
+    :class:`WorkerDiedError`, and no row is returned; no worker outlives the call.
     Sets glibc's allocator thresholds for the whole process, which forked
     workers inherit (see :func:`_retain_freed_memory`).
     """

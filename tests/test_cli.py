@@ -217,6 +217,7 @@ class TestSimulateAndRun:
                         "farfield_path": "f.wav"}) + "\n" for i in range(4)))
         out_dir = tmp_path / "o"
         argv = ["run", "--manifest", str(manifest), "--out", str(out_dir), "--workers", "2"]
+        assert issubclass(pipeline.WorkerDiedError, RuntimeError)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "run: a pool worker died (exit status 9) before returning rows 2-3\n"
@@ -520,11 +521,11 @@ class TestFlagDefaults:
         sim = _signature_defaults(simulate_corpus)
         # run's flags default to unset, so its config file and the dataclasses
         # fill in (TestRunConfig); required flags have no default to own. Each key's
-        # help states the default of the field it sets.
+        # help is its row's, followed by the default of the field it sets.
         assert set(flags["run"].values()) == {None}
         helps = {a.dest: a.help for a in subparsers.choices["run"]._actions}
-        for key, (owner, name) in _RUN_KEYS.items():
-            assert helps[key].endswith(f" (default: {getattr(owner(), name)})"), helps[key]
+        for key, (owner, name, text) in _RUN_KEYS.items():
+            assert helps[key] == f"{text} (default: {getattr(owner(), name)})"
         simulate = flags["simulate"]
         assert simulate.pop("out") is None
         simulate.pop("count")  # simulate_corpus has no default count; the CLI owns it

@@ -24,6 +24,7 @@ from pseudolabel.dsp import StftConfig
 from pseudolabel.level_align import MflfConfig, level_align
 from pseudolabel.pipeline import (
     PipelineConfig,
+    WorkerDiedError,
     estimate_snr,
     read_pair,
     read_results,
@@ -238,7 +239,8 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
 
         monkeypatch.setattr(pipeline, "_process_segment", dies_on_row_2)
         segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(4)]
-        with pytest.raises(RuntimeError, match=r"\(exit status 3\) before returning rows 2-3$"):
+        assert issubclass(WorkerDiedError, RuntimeError)
+        with pytest.raises(WorkerDiedError, match=r"\(exit status 3\) before returning rows 2-3$"):
             run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -257,7 +259,7 @@ print(json.dumps([[r.status for r in rows], [n for n in names if n in sys.module
         monkeypatch.setattr(pipeline, "_process_segment", dies)
         segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav")
                 for i in range(n_rows)]
-        with pytest.raises(RuntimeError, match=rf"\(exit status 3\) before returning {named}$"):
+        with pytest.raises(WorkerDiedError, match=rf"\(exit status 3\) before returning {named}$"):
             run_tls(segs, PipelineConfig(worker_count=2, output_dir=str(tmp_path / "out")))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -370,7 +372,7 @@ except (KeyboardInterrupt, RuntimeError) as exc:
         assert stderr == ""
         kind, message, left = json.loads(stdout)
         if target == "worker":
-            assert kind == "RuntimeError"
+            assert kind == "WorkerDiedError"
             assert "(exit status 1) before returning row" in message
         else:
             assert kind == "KeyboardInterrupt"
