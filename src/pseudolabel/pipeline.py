@@ -46,6 +46,8 @@ class PipelineConfig:
             raise ValueError("snr_threshold_db must not be NaN")
         if self.worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
+        if not self.output_dir:  # "" would write into the working directory
+            raise ValueError("output_dir must not be empty")
 
 
 @dataclass
@@ -183,7 +185,9 @@ def _write_whole(path) -> Iterator[Path]:
 
 def _output_name(seg: SegmentRecord) -> str:
     # No WAV lasts 2**32 s (a 32-bit data size at >= 1 Hz), so every larger end cuts the same.
-    return f"{seg.session_id}_{seg.speaker_id}_{seg.start_s:.3f}_{min(seg.end_s, 2**32):.3f}.wav"
+    # A start of -0.0 cuts as 0.0 does; adding +0.0 names it alike.
+    start, end = seg.start_s + 0.0, min(seg.end_s, 2**32)
+    return f"{seg.session_id}_{seg.speaker_id}_{start:.3f}_{end:.3f}.wav"
 
 
 def _label(s1: np.ndarray, y: np.ndarray, rate: int, config: PipelineConfig,

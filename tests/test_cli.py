@@ -256,6 +256,20 @@ class TestSimulateAndRun:
                "pseudolabel run: --manifest is required (flag or config file)\n"
         assert not any(tmp_path.iterdir())
 
+    # An empty output directory would be the working directory: PipelineConfig rejects
+    # it, from the flag and from the config file, before anything is written.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_is_usage_error(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        Path("m.jsonl").write_text("")
+        Path("o.cfg").write_text("out =\n")
+        given = ["--out", ""] if source == "flag" else ["--config", "o.cfg"]
+        assert main(["run", "--manifest", "m.jsonl", *given]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "pseudolabel run: output_dir must not be empty\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "o.cfg"]
+
     # StftConfig alone checks the window kind, so a flag and a config file
     # fail with one line, before anything is read or written.
     @pytest.mark.parametrize("command", ["run"])

@@ -430,6 +430,21 @@ except (KeyboardInterrupt, RuntimeError) as exc:
         assert records[2].status == "ok" and records[2].snr_db == records[0].snr_db
         assert Path(records[0].output_path).read_bytes() == Path(records[2].output_path).read_bytes()
 
+    def test_negative_zero_start_names_and_collides_as_zero(self, tmp_path):
+        # JSON reads "-0.0" as a float that 0 <= start_s accepts; its cut and its name are 0.0's.
+        good, _ = write_scenario(tmp_path, "z", seed=53)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(dataclasses.replace(good, start_s=start).to_dict())
+                                    + "\n" for start in (-0.0, 0.0)))
+        segs = parse_segments(manifest)
+        assert math.copysign(1.0, segs[0].start_s) == -1.0
+        records = run_tls(segs, PipelineConfig(output_dir=str(tmp_path / "out")))
+        name = f"z_spk_0.000_{good.end_s:.3f}.wav"
+        assert records[0].status == "ok" and records[0].kept
+        assert Path(records[0].output_path).name == name
+        assert records[1].status == f"error: output name {name} collides with row 0"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
     @pytest.mark.parametrize("which", ["close_talk_path", "farfield_path"])
     def test_nan_sample_fails_that_row(self, tmp_path, which):
         segs = [write_scenario(tmp_path, f"n{i}", seed=60 + i)[0] for i in range(3)]
@@ -794,7 +809,7 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(max_lag_s=0.0)
         for bad in ({"max_lag_s": math.nan}, {"max_lag_s": math.inf},
-                    {"snr_threshold_db": math.nan}):
+                    {"snr_threshold_db": math.nan}, {"output_dir": ""}):
             with pytest.raises(ValueError):
                 PipelineConfig(**bad)
         # an infinite threshold keeps its meaning: keep nothing, or everything
