@@ -6,7 +6,10 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -235,6 +238,29 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
         fh.write(header)
         for i in range(0, clip.n_samples, _WRITE_FRAMES):
             fh.write(_encode(clip.samples[:, i : i + _WRITE_FRAMES], encoding))
+
+
+@contextmanager
+def _write_whole(path) -> Iterator[Path]:
+    """Yield ``<path>.partial`` to write, then rename it to ``path``: a file appears under
+    its name whole or not at all. On any exception the partial file is unlinked."""
+    path = Path(path)
+    part = path.with_name(path.name + ".partial")
+    try:
+        yield part
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write_jsonl(path, rows: Iterable[dict]) -> None:
+    """One JSON line per row, in the parent directory it creates; ``path`` holds the whole
+    file, or what it held before."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with _write_whole(path) as part, open(part, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
 
 
 def _read_jsonl(path, parse) -> list:

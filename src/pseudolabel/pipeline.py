@@ -14,7 +14,7 @@ import os
 import pickle
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -22,7 +22,8 @@ from typing import BinaryIO, get_args, get_type_hints
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentRecord, _read_jsonl, read_wav, write_wav
+from .audio_io import (AudioClip, SegmentRecord, _read_jsonl, _write_jsonl, _write_whole, read_wav,
+                       write_wav)
 # Never called: perfbench/pb_trace.py wraps the name until ROADMAP I drops that stage.
 from .audio_io import _frame_range as cut_segment  # noqa: F401
 from .dsp import StftConfig
@@ -169,20 +170,6 @@ def _retain_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-@contextmanager
-def _write_whole(path) -> Iterator[Path]:
-    """Yield ``<path>.partial`` to write, then rename it to ``path``: a file appears under
-    its name whole or not at all. On any exception the partial file is unlinked."""
-    path = Path(path)
-    part = path.with_name(path.name + ".partial")
-    try:
-        yield part
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-
-
 def _output_name(seg: SegmentRecord) -> str:
     # No WAV lasts 2**32 s (a 32-bit data size at >= 1 Hz), so every larger end cuts the same.
     # A start of -0.0 cuts as 0.0 does; adding +0.0 names it alike.
@@ -223,7 +210,7 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
                     write_wav(part, AudioClip(pseudo, rate), "float32")
                 rec.output_path = str(out_path)
     except Exception as exc:  # keep the batch alive; the row carries the reason
-        rec.status = f"error: {exc}"
+        rec.status = f"error: {str(exc) or type(exc).__name__}"
         rec.kept = False
     return rec
 
@@ -397,11 +384,7 @@ def record_from_dict(obj: dict) -> PseudoLabelRecord:
 
 def write_results(records: list[PseudoLabelRecord], path) -> None:
     """One JSON line per record; ``path`` holds the whole file, or what it held before."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with _write_whole(path) as part, open(part, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec)) + "\n")
+    _write_jsonl(path, map(record_to_dict, records))
 
 
 def read_results(path) -> list[PseudoLabelRecord]:

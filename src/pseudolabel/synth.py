@@ -7,14 +7,13 @@ direct sound, and the realized SNR are all available to tests.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentRecord, _wav_header, write_wav
+from .audio_io import AudioClip, SegmentRecord, _wav_header, _write_jsonl, _write_whole, write_wav
 from .pipeline import estimate_snr
 
 NOISE_KINDS = ("white", "pink")
@@ -151,7 +150,9 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
 
     Returns ``(manifest_path, truth_path)``. The truth file is JSONL with
     the generator parameters and the realized direct-vs-residual SNR of
-    every segment.
+    every segment. Each file is written to ``<name>.partial`` and renamed,
+    the manifest and truth file after every WAV; an earlier pair of them in
+    ``out_dir`` is removed first, so an interrupted call leaves neither.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -168,52 +169,55 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
     _wav_header(3, 1, sample_rate, 32, 0)  # the rate fits the float32 mono files written below
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
     manifest_path = out / "manifest.jsonl"
     truth_path = out / "truth.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as mf, \
-         open(truth_path, "w", encoding="utf-8") as tf:
-        for i in range(count):
-            sid = f"s{i:03d}"
-            duration = float(rng.uniform(*duration_range))
-            delay = int(rng.integers(delay_range[0], delay_range[1] + 1))
-            gain = float(rng.uniform(*GAIN_RANGE))
-            snr_db = float(rng.uniform(*snr_range_db))
-            anechoic = max_decay_ms <= 0 or bool(rng.random() < ANECHOIC_FRACTION)
-            decay_ms = 0.0 if anechoic else float(
-                rng.uniform(min(10.0, max_decay_ms), max_decay_ms)
-            )
-            source_seed = int(rng.integers(2**31))
-            noise_seed = int(rng.integers(2**31))
-            rir_seed = int(rng.integers(2**31))
+    for path in (manifest_path, truth_path):  # an earlier corpus's would describe the new WAVs
+        path.unlink(missing_ok=True)
+    rng = np.random.default_rng(seed)
+    manifest, truth = [], []
+    for i in range(count):
+        sid = f"s{i:03d}"
+        duration = float(rng.uniform(*duration_range))
+        delay = int(rng.integers(delay_range[0], delay_range[1] + 1))
+        gain = float(rng.uniform(*GAIN_RANGE))
+        snr_db = float(rng.uniform(*snr_range_db))
+        anechoic = max_decay_ms <= 0 or bool(rng.random() < ANECHOIC_FRACTION)
+        decay_ms = 0.0 if anechoic else float(
+            rng.uniform(min(10.0, max_decay_ms), max_decay_ms)
+        )
+        source_seed = int(rng.integers(2**31))
+        noise_seed = int(rng.integers(2**31))
+        rir_seed = int(rng.integers(2**31))
 
-            clean = speech_like(duration, sample_rate, source_seed)
-            rir = None
-            if decay_ms > 0:
-                len_taps = min(int(4 * decay_ms / 1000.0 * sample_rate) + 1, 6400)
-                rir = gen_rir(decay_ms, len_taps, rir_seed, sample_rate)
-            scenario = SynthScenario(delay=delay, gain=gain, rir_taps=rir,
-                                     noise_snr_db=snr_db, seed=noise_seed)
-            close, far, direct = synth_pair(clean, scenario)
+        clean = speech_like(duration, sample_rate, source_seed)
+        rir = None
+        if decay_ms > 0:
+            len_taps = min(int(4 * decay_ms / 1000.0 * sample_rate) + 1, 6400)
+            rir = gen_rir(decay_ms, len_taps, rir_seed, sample_rate)
+        scenario = SynthScenario(delay=delay, gain=gain, rir_taps=rir,
+                                 noise_snr_db=snr_db, seed=noise_seed)
+        close, far, direct = synth_pair(clean, scenario)
 
-            close_path = out / f"{sid}_close.wav"
-            far_path = out / f"{sid}_far.wav"
-            direct_path = out / f"{sid}_direct.wav"
-            write_wav(close_path, AudioClip(close, sample_rate), "float32")
-            write_wav(far_path, AudioClip(far, sample_rate), "float32")
-            write_wav(direct_path, AudioClip(direct, sample_rate), "float32")
+        close_path = out / f"{sid}_close.wav"
+        far_path = out / f"{sid}_far.wav"
+        direct_path = out / f"{sid}_direct.wav"
+        for path, signal in ((close_path, close), (far_path, far), (direct_path, direct)):
+            with _write_whole(path) as part:
+                write_wav(part, AudioClip(signal, sample_rate), "float32")
 
-            seg = SegmentRecord(sid, "spk0", 0.0, far.size / sample_rate,
-                                str(close_path), str(far_path))
-            mf.write(json.dumps(seg.to_dict()) + "\n")
-            tf.write(json.dumps({
-                "session_id": sid,
-                "delay": delay,
-                "gain": gain,
-                "decay_ms": decay_ms,
-                "noise_snr_db": snr_db,
-                "gt_snr_db": estimate_snr(direct, far),
-                "duration_s": duration,
-                "direct_path": str(direct_path),
-            }) + "\n")
+        seg = SegmentRecord(sid, "spk0", 0.0, far.size / sample_rate,
+                            str(close_path), str(far_path))
+        manifest.append(seg.to_dict())
+        truth.append({
+            "session_id": sid,
+            "delay": delay,
+            "gain": gain,
+            "decay_ms": decay_ms,
+            "noise_snr_db": snr_db,
+            "gt_snr_db": estimate_snr(direct, far),
+            "duration_s": duration,
+            "direct_path": str(direct_path),
+        })
+    _write_jsonl(manifest_path, manifest)
+    _write_jsonl(truth_path, truth)
     return manifest_path, truth_path

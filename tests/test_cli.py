@@ -199,6 +199,25 @@ class TestSimulateAndRun:
         Path("empty.jsonl").write_text("")
         assert main(["run", "--manifest", "empty.jsonl"]) == 0  # no row, so none failed
 
+    # An exception with an empty message, such as the MemoryError of a read too large
+    # to allocate, names its type in the row and in the all-failed line.
+    def test_empty_error_message_names_its_type(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(pipeline, "read_pair", out_of_memory)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"session_id": "s", "speaker_id": "a", "start_s": float(i),
+                        "end_s": i + 1.0, "close_talk_path": "c.wav",
+                        "farfield_path": "f.wav"}) + "\n" for i in range(3)))
+        out_dir = tmp_path / "o"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == \
+            "run: every segment failed; most common (3 of 3): MemoryError\n"
+        rows = [json.loads(l) for l in (out_dir / "results.jsonl").read_text().splitlines()]
+        assert [row["status"] for row in rows] == ["error: MemoryError"] * 3
+
     # A worker that dies loses the batch: one line, exit 1, no results.jsonl and no
     # child left. Any other exception from run_tls keeps its traceback. Starts 2
     # processes in all.

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import errno
 import json
@@ -618,6 +619,26 @@ def test_every_sample_entry_rejects_a_non_finite_sample(tmp_path, entry, message
         with pytest.raises(ValueError, match=f"^{message}"):
             entry(tmp_path, *pair)
     assert caught == []
+
+
+# Every file that simulate and run write is opened under its .partial name, then renamed.
+def test_every_written_file_is_opened_as_partial(tmp_path, monkeypatch):
+    real_open, written = builtins.open, []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            written.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    manifest_path, _ = simulate_corpus(tmp_path / "c", count=2, seed=3, duration_range=(1.0, 1.5))
+    records = run_tls(parse_segments(manifest_path),
+                      PipelineConfig(output_dir=str(tmp_path / "o"), snr_threshold_db=-100.0))
+    write_results(records, tmp_path / "o" / "results.jsonl")
+    monkeypatch.undo()
+    assert [r.kept for r in records] == [True, True]
+    assert len(written) == 2 * 3 + 2 + 2 + 1
+    assert [p for p in written if not p.endswith(".partial")] == []
 
 
 class TestRetainFreedMemory:

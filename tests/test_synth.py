@@ -1,10 +1,13 @@
+import errno
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from pseudolabel import synth
 from pseudolabel.audio_io import read_wav
 from pseudolabel.synth import (
     SynthScenario,
@@ -222,6 +225,32 @@ class TestSimulateCorpus:
             wa = read_wav(a["farfield_path"])
             wb = read_wav(b["farfield_path"])
             np.testing.assert_array_equal(wa.samples, wb.samples)
+
+    # Every file reaches its name whole, and the manifest and truth file come last: a
+    # write that fails at the second segment's first WAV leaves the first segment's
+    # three WAVs, and no manifest, truth file or partial file, not even an earlier
+    # corpus's manifest, which would describe other audio.
+    def test_interrupted_call_leaves_only_whole_wavs(self, tmp_path, monkeypatch):
+        out = tmp_path / "c"
+        simulate_corpus(out, count=1, seed=6, duration_range=(1.0, 1.5))
+        write_wav, calls = synth.write_wav, []
+
+        def full_disk_at_call_4(path, clip, encoding):
+            calls.append(path)
+            if len(calls) == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_wav(path, clip, encoding)
+
+        monkeypatch.setattr(synth, "write_wav", full_disk_at_call_4)
+        with pytest.raises(OSError) as raised:
+            simulate_corpus(out, count=3, seed=5, duration_range=(1.0, 1.5))
+        assert raised.value.errno == errno.ENOSPC
+        names = ["s000_close.wav", "s000_far.wav", "s000_direct.wav"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        monkeypatch.undo()
+        simulate_corpus(tmp_path / "whole", count=1, seed=5, duration_range=(1.0, 1.5))
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
     def test_negative_count_rejected_before_writing(self, tmp_path):
         with pytest.raises(ValueError, match="count"):
