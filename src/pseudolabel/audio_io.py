@@ -215,31 +215,6 @@ def _wav_header(tag: int, n_ch: int, rate: int, bits: int, n_bytes: int) -> byte
                          f"samples at {rate} Hz, {n_bytes} data bytes") from None
 
 
-def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
-    """Write a clip as a RIFF/WAVE file in the given encoding.
-
-    ``pcm16`` clips each sample to full scale and rejects a NaN before
-    anything is written; ``float32`` writes NaN and inf as they are. A rate,
-    channel count or length that the header cannot hold raises
-    ``ValueError``, also before anything is written. The samples are
-    encoded and written :data:`_WRITE_FRAMES` frames at a time.
-    """
-    if clip.n_samples == 0:
-        raise ValueError("refusing to write an empty clip")
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
-    # An integer has no NaN, and the cast would make one up; min finds a NaN without a temporary.
-    if encoding == "pcm16" and np.isnan(clip.samples.min()):
-        raise ValueError("cannot write a NaN sample as pcm16")
-    tag, bits = (3, 32) if encoding == "float32" else (1, 16)
-    n_bytes = clip.samples.size * bits // 8
-    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, n_bytes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for i in range(0, clip.n_samples, _WRITE_FRAMES):
-            fh.write(_encode(clip.samples[:, i : i + _WRITE_FRAMES], encoding))
-
-
 @contextmanager
 def _write_whole(path) -> Iterator[Path]:
     """Yield ``<path>.partial`` to write, then rename it to ``path``: a file appears under
@@ -252,6 +227,33 @@ def _write_whole(path) -> Iterator[Path]:
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
+    """Write a clip as a RIFF/WAVE file in the given encoding.
+
+    ``pcm16`` clips each sample to full scale and rejects a NaN before
+    anything is written; ``float32`` writes NaN and inf as they are. A rate,
+    channel count or length that the header cannot hold raises
+    ``ValueError``, also before anything is written. The samples are
+    encoded and written :data:`_WRITE_FRAMES` frames at a time, to
+    ``<path>.partial``, which is then renamed to ``path``; interrupted, the
+    write removes the partial file and leaves ``path`` as it was.
+    """
+    if clip.n_samples == 0:
+        raise ValueError("refusing to write an empty clip")
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unsupported encoding {encoding!r}; expected one of {ENCODINGS}")
+    # An integer has no NaN, and the cast would make one up; min finds a NaN without a temporary.
+    if encoding == "pcm16" and np.isnan(clip.samples.min()):
+        raise ValueError("cannot write a NaN sample as pcm16")
+    tag, bits = (3, 32) if encoding == "float32" else (1, 16)
+    n_bytes = clip.samples.size * bits // 8
+    header = _wav_header(tag, clip.n_channels, clip.sample_rate, bits, n_bytes)
+    with _write_whole(path) as part, open(part, "wb") as fh:
+        fh.write(header)
+        for i in range(0, clip.n_samples, _WRITE_FRAMES):
+            fh.write(_encode(clip.samples[:, i : i + _WRITE_FRAMES], encoding))
 
 
 def _write_jsonl(path, rows: Iterable[dict]) -> None:

@@ -22,8 +22,7 @@ from typing import BinaryIO, get_args, get_type_hints
 
 import numpy as np
 
-from .audio_io import (AudioClip, SegmentRecord, _read_jsonl, _write_jsonl, _write_whole, read_wav,
-                       write_wav)
+from .audio_io import AudioClip, SegmentRecord, _read_jsonl, _write_jsonl, read_wav, write_wav
 # Never called: perfbench/pb_trace.py wraps the name until ROADMAP I drops that stage.
 from .audio_io import _frame_range as cut_segment  # noqa: F401
 from .dsp import StftConfig
@@ -206,8 +205,7 @@ def _process_segment(seg: SegmentRecord, clash: int | None, config: PipelineConf
             filter_pairs([rec], config.snr_threshold_db)
             if rec.kept:
                 out_path = Path(config.output_dir) / _output_name(seg)
-                with _write_whole(out_path) as part:
-                    write_wav(part, AudioClip(pseudo, rate), "float32")
+                write_wav(out_path, AudioClip(pseudo, rate), "float32")
                 rec.output_path = str(out_path)
     except Exception as exc:  # keep the batch alive; the row carries the reason
         rec.status = f"error: {str(exc) or type(exc).__name__}"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, SegmentRecord, _wav_header, _write_jsonl, _write_whole, write_wav
+from .audio_io import AudioClip, SegmentRecord, _wav_header, _write_jsonl, write_wav
 from .pipeline import estimate_snr
 
 NOISE_KINDS = ("white", "pink")
@@ -202,8 +202,7 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
         far_path = out / f"{sid}_far.wav"
         direct_path = out / f"{sid}_direct.wav"
         for path, signal in ((close_path, close), (far_path, far), (direct_path, direct)):
-            with _write_whole(path) as part:
-                write_wav(part, AudioClip(signal, sample_rate), "float32")
+            write_wav(path, AudioClip(signal, sample_rate), "float32")
 
         seg = SegmentRecord(sid, "spk0", 0.0, far.size / sample_rate,
                             str(close_path), str(far_path))

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import struct
 import tracemalloc
 import warnings
@@ -7,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pseudolabel import audio_io
 from pseudolabel.audio_io import (
     AudioClip,
     ManifestError,
@@ -67,6 +70,7 @@ class TestWavRoundTrip:
     def test_empty_clip_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             write_wav(tmp_path / "e.wav", AudioClip(np.zeros((1, 0)), 16000))
+        assert list(tmp_path.iterdir()) == []  # rejected before the .partial file exists
 
     # read_wav reads PCM24 and PCM32; write_wav writes neither.
     def test_unknown_encoding(self, tmp_path):
@@ -75,7 +79,7 @@ class TestWavRoundTrip:
             with pytest.raises(ValueError, match=f"^unsupported encoding '{encoding}'; expected "
                                                  r"one of \('pcm16', 'float32'\)$"):
                 write_wav(path, AudioClip(np.zeros(10), 16000), encoding)
-            assert not path.exists()
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("encoding", ["pcm16"])
     def test_nan_in_a_pcm_encoding_rejected_before_writing(self, tmp_path, encoding):
@@ -83,7 +87,7 @@ class TestWavRoundTrip:
         path = tmp_path / "nan.wav"
         with pytest.raises(ValueError, match=f"^cannot write a NaN sample as {encoding}$"):
             write_wav(path, AudioClip(x, 16000), encoding)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     # The byte rate is 32-bit: 2**30 Hz of float32 mono is 2**32 bytes a second.
     def test_rate_past_the_header_rejected_before_writing(self, tmp_path):
@@ -92,11 +96,30 @@ class TestWavRoundTrip:
         path = tmp_path / "fast.wav"
         with pytest.raises(ValueError, match="^out of range for a WAV header: 1 channel"):
             write_wav(path, AudioClip(np.zeros(3), 2**30))
-        assert not path.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["edge.wav"]
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_wav(tmp_path / "missing_dir" / "x.wav", AudioClip(np.zeros(10), 16000))
+
+    # The header is written to x.wav.partial before the samples fail to encode; in
+    # place, that left a header-only x.wav, which reads as an empty clip. The partial
+    # file goes, and the earlier x.wav keeps every byte.
+    def test_interrupted_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioClip(np.arange(1000) / 1000, 16000))
+        before = path.read_bytes()
+
+        def disk_full(frames, encoding):
+            assert (tmp_path / "x.wav.partial").exists()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(audio_io, "_encode", disk_full)
+        with pytest.raises(OSError) as raised:
+            write_wav(path, AudioClip(np.zeros(500), 16000))
+        assert raised.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
 
     def test_pcm16_write_peak_is_one_and_a_quarter_inputs(self, tmp_path):
         # A clip of one block: one float64 temporary, rounded and clipped in

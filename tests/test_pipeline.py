@@ -77,20 +77,19 @@ class TestRunTls:
         assert pseudo.sample_rate == 16000
 
     # A kept label is written to <name>.partial, then renamed: a write that fails
-    # leaves neither name, and the row fails with the write's error.
+    # after its header leaves neither name, and the row fails with the write's error.
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        written = []
+        encoded = []
 
-        def short_write(path, clip, encoding):
-            written.append(Path(path).name)
-            Path(path).write_bytes(b"RIFF")
+        def disk_full(frames, encoding):
+            encoded.append(encoding)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         seg, _ = write_scenario(tmp_path, "w", seed=7)
         out = tmp_path / "out"
-        monkeypatch.setattr(pipeline, "write_wav", short_write)
+        monkeypatch.setattr(audio_io, "_encode", disk_full)
         (rec,) = run_tls([seg], PipelineConfig(output_dir=str(out)))
-        assert written == [pipeline._output_name(seg) + ".partial"]
+        assert encoded == ["float32"]
         assert rec.status == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert not rec.kept and rec.output_path is None
         assert list(out.iterdir()) == []
@@ -621,7 +620,8 @@ def test_every_sample_entry_rejects_a_non_finite_sample(tmp_path, entry, message
     assert caught == []
 
 
-# Every file that simulate and run write is opened under its .partial name, then renamed.
+# Every file that simulate, run and a library write_wav write is opened under its
+# .partial name, then renamed.
 def test_every_written_file_is_opened_as_partial(tmp_path, monkeypatch):
     real_open, written = builtins.open, []
 
@@ -635,9 +635,10 @@ def test_every_written_file_is_opened_as_partial(tmp_path, monkeypatch):
     records = run_tls(parse_segments(manifest_path),
                       PipelineConfig(output_dir=str(tmp_path / "o"), snr_threshold_db=-100.0))
     write_results(records, tmp_path / "o" / "results.jsonl")
+    write_wav(tmp_path / "lib.wav", AudioClip(np.zeros(10), 16000), "pcm16")
     monkeypatch.undo()
     assert [r.kept for r in records] == [True, True]
-    assert len(written) == 2 * 3 + 2 + 2 + 1
+    assert len(written) == 2 * 3 + 2 + 2 + 1 + 1
     assert [p for p in written if not p.endswith(".partial")] == []
 
 
