@@ -47,11 +47,29 @@ class SynthScenario:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
         if not -math.inf < self.noise_snr_db <= math.inf:
             raise ValueError(f"noise_snr_db must be finite or inf, got {self.noise_snr_db}")
+        if self.noise_snr_db < math.inf and _bad_snr(self.noise_snr_db):
+            raise ValueError(f"noise_snr_db must give a positive finite power ratio "
+                             f"10 ** (x / 10), got {self.noise_snr_db}")
         if self.rir_taps is not None:
             taps = np.asarray(self.rir_taps, dtype=np.float64)
             if taps.size == 0 or taps[0] == 0.0:
                 raise ValueError("rir_taps must be nonempty with a nonzero first tap")
             self.rir_taps = taps
+
+
+def _bad_snr(snr_db: float) -> bool:
+    """Whether a finite ``snr_db`` has no positive finite power ratio ``10 ** (snr_db / 10)``,
+    by which ``synth_pair`` scales its noise."""
+    try:
+        return not 10.0 ** (snr_db / 10.0) > 0.0
+    except OverflowError:
+        return True
+
+
+def _too_short(duration_s: float, sample_rate: int) -> bool:
+    """Whether a ``speech_like`` source of ``duration_s`` has under two samples; the pink
+    carrier of one sample is a degenerate noise draw."""
+    return round(duration_s * sample_rate) < 2
 
 
 def gen_noise(kind: str, length: int, seed: int) -> np.ndarray:
@@ -128,9 +146,9 @@ def synth_pair(clean, scenario: SynthScenario) -> tuple[np.ndarray, np.ndarray, 
 
 def speech_like(duration_s: float, sample_rate: int, seed: int) -> np.ndarray:
     """Wideband, syllabically modulated test source (pink carrier)."""
-    n = int(round(duration_s * sample_rate))
-    if n < 1:
+    if _too_short(duration_s, sample_rate):
         raise ValueError("duration too short")
+    n = int(round(duration_s * sample_rate))
     rng = np.random.default_rng(seed)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     syllable_hz = rng.uniform(2.2, 3.4)
@@ -167,6 +185,12 @@ def simulate_corpus(out_dir, count: int, seed: int = 0, sample_rate: int = 16000
     if not 0 <= max_decay_ms < math.inf:
         raise ValueError(f"max_decay_ms must be >= 0 and finite, got {max_decay_ms}")
     _wav_header(3, 1, sample_rate, 32, 0)  # the rate fits the float32 mono files written below
+    if _too_short(duration_range[0], sample_rate):
+        raise ValueError(f"duration_range must start at 2 samples or more at {sample_rate} Hz, "
+                         f"got {duration_range}")
+    if any(map(_bad_snr, snr_range_db)):
+        raise ValueError(f"snr_range_db must give a positive finite power ratio 10 ** (x / 10) "
+                         f"at both ends, got {snr_range_db}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.jsonl"

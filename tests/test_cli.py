@@ -153,8 +153,15 @@ class TestSimulateAndRun:
          "duration_range must be finite with 0 < low <= high, got (4.0, inf)"),
         ("--max-decay-ms", "nan", "max_decay_ms must be >= 0 and finite, got nan"),
         ("--sample-rate", "0", "sample_rate must be positive, got 0"),
+        ("--min-duration-s", "0.00001",
+         "duration_range must start at 2 samples or more at 16000 Hz, got (1e-05, 8.0)"),
+        ("--snr-max-db", "4000", "snr_range_db must give a positive finite power ratio "
+                                 "10 ** (x / 10) at both ends, got (0.0, 4000.0)"),
+        ("--snr-min-db", "-4000", "snr_range_db must give a positive finite power ratio "
+                                  "10 ** (x / 10) at both ends, got (-4000.0, 20.0)"),
     ], ids=["snr_min_nan", "snr_max_inf", "min_duration_nan", "max_duration_inf",
-            "max_decay_nan", "rate_0"])
+            "max_decay_nan", "rate_0", "min_duration_under_2_samples", "snr_max_overflow",
+            "snr_min_underflow"])
     def test_bad_parameter_is_usage_error(self, tmp_path, capsys, flag, value, message):
         corpus = tmp_path / "corpus"
         assert main(["simulate", "--out", str(corpus), "--count", "1", flag, value]) == 2

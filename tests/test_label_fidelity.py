@@ -10,13 +10,13 @@ direct sound ``d`` (the BSS Eval SDR of Vincent, Gribonval & Fevotte,
 IEEE TASLP 2006, with no allowed distortion).
 
 The draws mirror ``simulate_corpus``'s ranges (delay 0-4000 samples, gain
-0.05-0.5, a quarter anechoic), except that each tail is cut at one decay
-time instead of four, which keeps the convolutions cheap. Per cell the
-median and the p10 of label SDR have lower bounds. Each bound is the
-value measured on numpy 2.4.6, less 0.3 dB, rounded down to 0.1 dB: a
-change that only rounds differently passes, while weighting the fit by
-the close-talk ``|S2|^2`` instead of ``|Y|^2`` fails all four 0.5-2 s
-cells below 10 dB.
+from ``synth.GAIN_RANGE``, ``synth.ANECHOIC_FRACTION`` of them anechoic),
+except that each tail is cut at one decay time instead of four, which keeps
+the convolutions cheap. Per cell the median and the p10 of label SDR have
+lower bounds. Each bound is the value measured on numpy 2.4.6, less 0.3 dB,
+rounded down to 0.1 dB: a change that only rounds differently passes, while
+weighting the fit by the close-talk ``|S2|^2`` instead of ``|Y|^2`` fails
+all four 0.5-2 s cells below 10 dB.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 import pytest
 
 from pseudolabel.pipeline import PipelineConfig, _label
-from pseudolabel.synth import SynthScenario, gen_rir, speech_like, synth_pair
+from pseudolabel.synth import (ANECHOIC_FRACTION, GAIN_RANGE, SynthScenario, gen_rir, speech_like,
+                               synth_pair)
 from pseudolabel.time_align import _fft_len
 
 RATE = 16000
@@ -60,9 +61,9 @@ def label_sdr(length_s: float, snr_db: float, rng: np.random.Generator) -> float
     ``speech_like``'s pink-noise FFT is slow on a length with a large prime
     factor."""
     delay = int(rng.integers(0, 4001))
-    gain = float(rng.uniform(0.05, 0.5))
+    gain = float(rng.uniform(*GAIN_RANGE))
     rir = None
-    if rng.random() >= 0.25:
+    if rng.random() >= ANECHOIC_FRACTION:
         decay_ms = float(rng.uniform(10.0, 50.0))
         rir = gen_rir(decay_ms, int(decay_ms / 1000.0 * RATE) + 1, int(rng.integers(2**31)), RATE)
     clean = speech_like(_fft_len(round(length_s * RATE)) / RATE, RATE, int(rng.integers(2**31)))

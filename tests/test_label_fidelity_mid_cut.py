@@ -8,9 +8,9 @@ shifted close-talk. So the label misses it, and the fit counts it as
 noise. The whole-file cells of ``test_label_fidelity`` never show this.
 
 Each pair is drawn in memory: ``speech_like`` talk at least 1 s longer
-than the cut, a delay of 0-4000 samples, a gain of 0.05-0.5, a ``gen_rir``
-tail of 10-50 ms decay (cut at one decay time) and white noise at the
-cell's truth SNR. Both channels and the direct sound are cut on one
+than the cut, a delay of 0-4000 samples, a gain from ``synth.GAIN_RANGE``,
+a ``gen_rir`` tail of 10-50 ms decay (cut at one decay time) and white
+noise at the cell's truth SNR. Both channels and the direct sound are cut on one
 interval from 0.5 s, inside the talk of both channels. The cut pair then
 goes through the run path's stages at the default configs, and its label
 SDR is measured against the cut direct sound, as ``test_label_fidelity``
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pseudolabel.synth import SynthScenario, gen_rir, speech_like, synth_pair
+from pseudolabel.synth import GAIN_RANGE, SynthScenario, gen_rir, speech_like, synth_pair
 from pseudolabel.time_align import _fft_len
 from test_label_fidelity import RATE, run_path_sdr
 
@@ -51,7 +51,7 @@ BOUNDS = {
 def mid_cut_sdr(length_s: float, snr_db: float, rng: np.random.Generator) -> float:
     """Draw one pair, cut it mid-talk, and return the SDR in dB of the cut's label."""
     delay = int(rng.integers(0, 4001))
-    gain = float(rng.uniform(0.05, 0.5))
+    gain = float(rng.uniform(*GAIN_RANGE))
     decay_ms = float(rng.uniform(10.0, 50.0))
     rir = gen_rir(decay_ms, int(decay_ms / 1000.0 * RATE) + 1, int(rng.integers(2**31)), RATE)
     n_cut = round(length_s * RATE)

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -170,7 +171,12 @@ class TestSynthPair:
         ({"gain": math.inf}, "gain must be positive and finite"),
         ({"noise_snr_db": math.nan}, "noise_snr_db must be finite or inf"),
         ({"noise_snr_db": -math.inf}, "noise_snr_db must be finite or inf"),
-    ], ids=["gain_nan", "gain_inf", "noise_snr_nan", "noise_snr_minus_inf"])
+        # 10 ** (x / 10), synth_pair's noise scale, overflows above about 3,082 dB
+        # and underflows to zero below about -3,236 dB.
+        ({"noise_snr_db": 4000.0}, "noise_snr_db must give a positive finite power ratio"),
+        ({"noise_snr_db": -4000.0}, "noise_snr_db must give a positive finite power ratio"),
+    ], ids=["gain_nan", "gain_inf", "noise_snr_nan", "noise_snr_minus_inf", "noise_snr_overflow",
+            "noise_snr_underflow"])
     def test_non_finite_scenarios_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SynthScenario(**kwargs)
@@ -184,14 +190,13 @@ class TestSpeechLike:
         x = speech_like(2.0, 16000, 17)
         assert np.max(np.abs(x)) == pytest.approx(0.5)
 
-    def test_one_sample_is_a_degenerate_draw(self):
-        with pytest.raises(ValueError, match="^degenerate noise draw$"):
-            speech_like(1 / 16000, 16000, 0)
-
-    @pytest.mark.parametrize("duration_s, sample_rate", [(0.0, 16000), (1e-5, 16000), (1.0, 0)])
+    # One sample is too short too: its pink carrier would be a degenerate noise draw.
+    @pytest.mark.parametrize("duration_s, sample_rate",
+                             [(0.0, 16000), (1e-5, 16000), (1.0, 0), (6.25e-05, 16000)])
     def test_too_short_rejected(self, duration_s, sample_rate):
-        with pytest.raises(ValueError, match="duration too short"):
+        with pytest.raises(ValueError, match="^duration too short$"):
             speech_like(duration_s, sample_rate, 0)
+        assert speech_like(2 / 16000, 16000, 0).size == 2
 
 
 class TestSimulateCorpus:
@@ -278,3 +283,31 @@ class TestSimulateCorpus:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             simulate_corpus(tmp_path / "c", count=1, **kwargs)
         assert not (tmp_path / "c").exists()
+
+    # A range that some draw could not use is rejected before out_dir is touched: no
+    # directory is made, and an earlier corpus keeps its manifest and truth file. A
+    # low duration end of one sample fails even where every draw would be long enough.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"duration_range": (1e-5, 2e-5)},
+         "duration_range must start at 2 samples or more at 16000 Hz, got (1e-05, 2e-05)"),
+        ({"duration_range": (7e-5, 1.0)},
+         "duration_range must start at 2 samples or more at 16000 Hz, got (7e-05, 1.0)"),
+        ({"snr_range_db": (4000.0, 4000.0)},
+         "snr_range_db must give a positive finite power ratio 10 ** (x / 10) at both ends, "
+         "got (4000.0, 4000.0)"),
+        ({"snr_range_db": (-4000.0, 0.0)},
+         "snr_range_db must give a positive finite power ratio 10 ** (x / 10) at both ends, "
+         "got (-4000.0, 0.0)"),
+    ], ids=["duration_under_one_sample", "duration_of_one_sample", "snr_overflow",
+            "snr_underflow"])
+    def test_unusable_range_leaves_an_earlier_corpus_as_it_was(self, tmp_path, kwargs, message):
+        out = tmp_path / "c"
+        simulate_corpus(out, count=1, seed=6, duration_range=(0.5, 0.6))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ValueError) as raised:
+            simulate_corpus(out, count=2, **kwargs)
+        assert str(raised.value) == message
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_corpus(tmp_path / "new", count=2, **kwargs)
+        assert not (tmp_path / "new").exists()
