@@ -145,8 +145,10 @@ class TestSimulateAndRun:
         assert not corpus.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--snr-min-db", "nan", "snr_range_db must be finite with low <= high, got (nan, 20.0)"),
-        ("--snr-max-db", "inf", "snr_range_db must be finite with low <= high, got (0.0, inf)"),
+        ("--snr-min-db", "nan",
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (nan, 20.0)"),
+        ("--snr-max-db", "inf",
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (0.0, inf)"),
         ("--min-duration-s", "nan",
          "duration_range must be finite with 0 < low <= high, got (nan, 8.0)"),
         ("--max-duration-s", "inf",
@@ -155,10 +157,10 @@ class TestSimulateAndRun:
         ("--sample-rate", "0", "sample_rate must be positive, got 0"),
         ("--min-duration-s", "0.00001",
          "duration_range must start at 2 samples or more at 16000 Hz, got (1e-05, 8.0)"),
-        ("--snr-max-db", "4000", "snr_range_db must give a positive finite power ratio "
-                                 "10 ** (x / 10) at both ends, got (0.0, 4000.0)"),
-        ("--snr-min-db", "-4000", "snr_range_db must give a positive finite power ratio "
-                                  "10 ** (x / 10) at both ends, got (-4000.0, 20.0)"),
+        ("--snr-max-db", "4000",
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (0.0, 4000.0)"),
+        ("--snr-min-db", "-4000",
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (-4000.0, 20.0)"),
     ], ids=["snr_min_nan", "snr_max_inf", "min_duration_nan", "max_duration_inf",
             "max_decay_nan", "rate_0", "min_duration_under_2_samples", "snr_max_overflow",
             "snr_min_underflow"])
@@ -169,6 +171,26 @@ class TestSimulateAndRun:
         assert captured.err == f"pseudolabel simulate: {message}\n"
         assert captured.out == ""
         assert not corpus.exists()
+
+    # Past synth.SNR_LIMIT_DB the far field's noise can overflow float32: at -1,000 dB
+    # simulate wrote an all-inf far field, and at -3,100 dB it failed after writing
+    # s000. Either exits 2 before --out is touched, and an earlier corpus keeps its bytes.
+    @pytest.mark.parametrize("snr_db", ["-1000", "-3100"])
+    def test_snr_past_the_limit_is_usage_error(self, tmp_path, capsys, snr_db):
+        short = ["--count", "1", "--min-duration-s", "0.5", "--max-duration-s", "0.6"]
+        snr = ["--snr-min-db", snr_db, "--snr-max-db", snr_db]
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--out", str(corpus), *short]) == 0
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        capsys.readouterr()
+        for out in (tmp_path / "new", corpus):
+            assert main(["simulate", "--out", str(out), *short, *snr]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ("pseudolabel simulate: snr_range_db must be finite with "
+                                    f"-300 <= low <= high <= 300, got ({snr_db}.0, {snr_db}.0)\n")
+            assert captured.out == ""
+        assert not (tmp_path / "new").exists()
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
 
     # At 1.2 GHz a float32 file's byte rate overflows its header's 32-bit field.
     # The durations keep any corpus that does get made to a few samples.

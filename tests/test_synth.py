@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pseudolabel import synth
-from pseudolabel.audio_io import read_wav
+from pseudolabel.audio_io import parse_segments, read_wav
+from pseudolabel.pipeline import PipelineConfig, run_tls
 from pseudolabel.synth import (
     SynthScenario,
     gen_noise,
@@ -169,14 +170,18 @@ class TestSynthPair:
     @pytest.mark.parametrize("kwargs, message", [
         ({"gain": math.nan}, "gain must be positive and finite"),
         ({"gain": math.inf}, "gain must be positive and finite"),
-        ({"noise_snr_db": math.nan}, "noise_snr_db must be finite or inf"),
-        ({"noise_snr_db": -math.inf}, "noise_snr_db must be finite or inf"),
+        ({"noise_snr_db": math.nan}, "noise_snr_db must be inf or between -300 and 300 dB"),
+        ({"noise_snr_db": -math.inf}, "noise_snr_db must be inf or between -300 and 300 dB"),
         # 10 ** (x / 10), synth_pair's noise scale, overflows above about 3,082 dB
-        # and underflows to zero below about -3,236 dB.
-        ({"noise_snr_db": 4000.0}, "noise_snr_db must give a positive finite power ratio"),
-        ({"noise_snr_db": -4000.0}, "noise_snr_db must give a positive finite power ratio"),
+        # and underflows to zero below about -3,236 dB; both are far past the limit.
+        ({"noise_snr_db": 4000.0}, "noise_snr_db must be inf or between -300 and 300 dB"),
+        ({"noise_snr_db": -4000.0}, "noise_snr_db must be inf or between -300 and 300 dB"),
+        ({"noise_snr_db": -300.5},
+         r"^noise_snr_db must be inf or between -300 and 300 dB, got -300.5$"),
+        ({"noise_snr_db": 300.5},
+         r"^noise_snr_db must be inf or between -300 and 300 dB, got 300.5$"),
     ], ids=["gain_nan", "gain_inf", "noise_snr_nan", "noise_snr_minus_inf", "noise_snr_overflow",
-            "noise_snr_underflow"])
+            "noise_snr_underflow", "noise_snr_below_the_limit", "noise_snr_above_the_limit"])
     def test_non_finite_scenarios_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SynthScenario(**kwargs)
@@ -293,13 +298,13 @@ class TestSimulateCorpus:
         ({"duration_range": (7e-5, 1.0)},
          "duration_range must start at 2 samples or more at 16000 Hz, got (7e-05, 1.0)"),
         ({"snr_range_db": (4000.0, 4000.0)},
-         "snr_range_db must give a positive finite power ratio 10 ** (x / 10) at both ends, "
-         "got (4000.0, 4000.0)"),
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (4000.0, 4000.0)"),
         ({"snr_range_db": (-4000.0, 0.0)},
-         "snr_range_db must give a positive finite power ratio 10 ** (x / 10) at both ends, "
-         "got (-4000.0, 0.0)"),
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (-4000.0, 0.0)"),
+        ({"snr_range_db": (-1000.0, -1000.0)},
+         "snr_range_db must be finite with -300 <= low <= high <= 300, got (-1000.0, -1000.0)"),
     ], ids=["duration_under_one_sample", "duration_of_one_sample", "snr_overflow",
-            "snr_underflow"])
+            "snr_underflow", "snr_past_the_limit"])
     def test_unusable_range_leaves_an_earlier_corpus_as_it_was(self, tmp_path, kwargs, message):
         out = tmp_path / "c"
         simulate_corpus(out, count=1, seed=6, duration_range=(0.5, 0.6))
@@ -311,3 +316,18 @@ class TestSimulateCorpus:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_corpus(tmp_path / "new", count=2, **kwargs)
         assert not (tmp_path / "new").exists()
+
+    # At either end of the accepted range every written sample is finite (the far field
+    # peaks near 1e14 at -300 dB), and a run over the corpus gives a finite snr_db per row.
+    @pytest.mark.parametrize("snr_db", [-300.0, 300.0])
+    def test_limit_snr_writes_finite_files_that_run(self, tmp_path, snr_db):
+        manifest, _ = simulate_corpus(tmp_path / "c", count=2, seed=8, duration_range=(0.5, 1.0),
+                                      snr_range_db=(snr_db, snr_db))
+        wavs = sorted((tmp_path / "c").glob("*.wav"))
+        assert len(wavs) == 6
+        for path in wavs:
+            assert np.isfinite(read_wav(path).samples).all()
+        records = run_tls(parse_segments(manifest),
+                          PipelineConfig(output_dir=str(tmp_path / "out")))
+        assert [r.status for r in records] == ["ok", "ok"]
+        assert all(math.isfinite(r.snr_db) for r in records)
