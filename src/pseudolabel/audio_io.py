@@ -190,10 +190,16 @@ _WRITE_FRAMES = 2**18
 
 def _encode(frames: np.ndarray, encoding: str) -> np.ndarray:
     """Interleave ``frames`` ([channel, sample]) and quantize them to ``encoding``;
-    returns the samples as they lie in the file."""
+    returns the samples as they lie in the file. A finite sample that float32 cannot
+    hold raises ``ValueError``, where the cast would make it an infinity."""
     inter = frames.T.ravel()
     if encoding == "float32":
-        return inter.astype("<f4")
+        try:
+            with np.errstate(over="raise"):
+                return inter.astype("<f4")
+        except FloatingPointError:
+            raise ValueError(f"cannot write a finite sample beyond float32's range "
+                             f"(+-{np.finfo('<f4').max:.7g})") from None
     q = inter * 32768.0  # one float64 temporary, rounded and clipped in place
     return np.clip(np.round(q, out=q), -32768, 32767, out=q).astype("<i2")
 
@@ -233,7 +239,8 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
     """Write a clip as a RIFF/WAVE file in the given encoding.
 
     ``pcm16`` clips each sample to full scale and rejects a NaN before
-    anything is written; ``float32`` writes NaN and inf as they are. A rate,
+    anything is written; ``float32`` writes NaN and inf as they are, and
+    raises ``ValueError`` on a finite sample beyond its range. A rate,
     channel count or length that the header cannot hold raises
     ``ValueError``, also before anything is written. The samples are
     encoded and written :data:`_WRITE_FRAMES` frames at a time, to

@@ -121,6 +121,25 @@ class TestWavRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
 
+    # A finite sample past float32's largest (about 3.4e38) would be cast to an infinity.
+    # The write refuses it in the second block, after the first is on disk; the earlier
+    # file keeps its bytes and no partial file is left. NaN and infinities are written.
+    @pytest.mark.parametrize("sample", [1e39, -1e39])
+    def test_float32_refuses_a_finite_sample_past_its_range(self, tmp_path, sample):
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioClip(np.arange(1000) / 1000, 16000))
+        before = path.read_bytes()
+        x = np.zeros(_WRITE_FRAMES + 2)
+        x[_WRITE_FRAMES] = sample
+        with pytest.raises(ValueError, match=r"^cannot write a finite sample beyond float32's "
+                                             r"range \(\+-3\.402823e\+38\)$"):
+            write_wav(path, AudioClip(x, 16000), "float32")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
+        edge = [np.inf, -np.inf, np.nan, float(np.finfo(np.float32).max)]
+        write_wav(path, AudioClip(np.array(edge), 16000), "float32")
+        np.testing.assert_array_equal(read_wav(path).samples[0], edge)
+
     def test_pcm16_write_peak_is_one_and_a_quarter_inputs(self, tmp_path):
         # A clip of one block: one float64 temporary, rounded and clipped in
         # place, then its int16 cast, a quarter of its size: tracemalloc's peak

@@ -12,6 +12,7 @@ import sys
 import time
 import typing
 import warnings
+from contextlib import suppress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -377,6 +378,57 @@ except (KeyboardInterrupt, RuntimeError) as exc:
         else:
             assert kind == "KeyboardInterrupt"
         assert not left
+
+    # Killed alone, the parent leaves each worker to end by itself: its task pipe closes,
+    # and the result it sends at the end of its chunk finds no reader. With rows that
+    # stall 0.3 s, both end within one chunk's time of the kill; the bound adds 3 s for a
+    # loaded machine. An ended worker may stay a zombie until what adopted it reaps it.
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+    def test_killing_only_the_parent_ends_its_workers(self, tmp_path):
+        ready = tmp_path / "ready"
+        ready.mkdir()
+        code = f"""
+import os, time
+from pseudolabel import PipelineConfig, SegmentRecord, pipeline
+
+def stall(seg, clash, config):
+    open(os.path.join({str(ready)!r}, str(os.getpid())), "w").close()
+    time.sleep(0.3)
+
+pipeline._process_segment = stall
+segs = [SegmentRecord("s", "spk", float(i), i + 1.0, "c.wav", "f.wav") for i in range(16)]
+pipeline.run_tls(segs, PipelineConfig(worker_count=2, output_dir={str(tmp_path / "out")!r}))
+"""
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True,
+                                env=os.environ | {"PYTHONPATH": str(src)}, cwd=tmp_path)
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(ready.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            pids = sorted(int(p.name) for p in ready.iterdir())
+            assert len(pids) == 2
+            os.kill(proc.pid, signal.SIGKILL)
+            killed = time.monotonic()
+            proc.wait()
+            bound = pipeline._CHUNK_ROWS * 0.3 + 3.0
+            while any(map(running, pids)) and time.monotonic() - killed < bound:
+                time.sleep(0.01)
+            assert not any(map(running, pids))
+        finally:
+            with suppress(ProcessLookupError):  # the group is gone once every worker has ended
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
     def test_multichannel_reference_uses_first_channel(self, tmp_path):
         seg, gt_snr = write_scenario(tmp_path, "mc", delay=120, snr_db=12.0, seed=40)
