@@ -172,9 +172,9 @@ class TestSimulateAndRun:
         assert captured.out == ""
         assert not corpus.exists()
 
-    # Past synth.SNR_LIMIT_DB the far field's noise can overflow float32: at -1,000 dB
-    # simulate wrote an all-inf far field, and at -3,100 dB it failed after writing
-    # s000. Either exits 2 before --out is touched, and an earlier corpus keeps its bytes.
+    # Past synth.SNR_LIMIT_DB the far field's noise can overflow float32 (at -1,000 dB
+    # every far-field sample would be inf), so such a range exits 2 before --out is
+    # touched, and an earlier corpus keeps its bytes.
     @pytest.mark.parametrize("snr_db", ["-1000", "-3100"])
     def test_snr_past_the_limit_is_usage_error(self, tmp_path, capsys, snr_db):
         short = ["--count", "1", "--min-duration-s", "0.5", "--max-duration-s", "0.6"]
